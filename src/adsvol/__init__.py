@@ -7,7 +7,7 @@ Layout:
 * `liealg`       exact sl(2, R): brackets, Killing form, calibrated metric
 * `forms`        invariant forms, Maurer-Cartan equation, curvature path
 * `invariants`   rational volume / Chern-Simons bookkeeping
-* `reps`         PSL(2, R) representations, circle lifts, Euler classes
+* `reps`         PSL(2, R) representations, Fuchsian holonomy, Euler classes
 * `admissibility` length-spectrum Lipschitz bounds and verdicts
 * `verify`       self-checks wired to the `adsvol verify` command
 """
@@ -59,12 +59,10 @@ from .liealg import (
     volume_form,
 )
 from .reps import (
-    LiftedCircleMap,
     Moebius,
     Representation,
     SurfaceGroup,
     Word,
-    circle_lift,
     elem_type,
     euler_class,
     evaluate,

@@ -1,8 +1,8 @@
 """Surface-group representations into PSL(2, R) and their Euler classes.
 
 This module is deliberately floating-point: representations live in
-double precision, and the Euler class is recovered as an integer through
-a lift of the projective-line action, with an explicit integrality gate.
+double precision, and the Euler class is read as an integer from the
+relator lifted to the universal cover, with an explicit integrality gate.
 Exact arithmetic stays in `liealg` / `forms` / `invariants`.
 
 Conventions
@@ -14,13 +14,20 @@ Conventions
   a1, b1, ..., ag, bg subject to prod_i [a_i, b_i] = 1.  Word letters
   are nonzero integers: letter 2i-1 is a_i, letter 2i is b_i, negatives
   are inverses.
-* P^1(R) is parametrised by the angle theta in R/(pi Z) of the line
-  through direction (cos theta, sin theta); a lift is a monotone map
-  ell of R with ell(x + pi) = ell(x) + pi.  The canonical lift of a
-  matrix takes 0 into [0, pi).
-* euler_class evaluates the lifted relator at 0 and divides by pi.  With
-  these conventions the regular-polygon Fuchsian representation of genus
-  g has Euler class -(2g - 2); e.g. fuchsian_regular_polygon(2) -> -2.
+* P^1(R) is parametrised by the angle x in R/(pi Z) of the line through
+  direction (cos x, sin x).  A matrix m = [[a, b], [c, d]] factors as
+  m = R P with R the rotation by its polar angle
+  theta(m) = atan2(c - b, a + d) and P symmetric positive definite; R
+  adds theta(m) to line angles and P moves every line by less than pi/2.
+  A lift of m to the universal cover is m with a real value of theta(m).
+* Lifts multiply through the Guichardet-Wigner (Milnor) rotation cocycle
+  theta(gh) - theta(g) - theta(h), which lies strictly within pi/2 of 0
+  mod pi (Wood 1971; Ghys, "Groups acting on the circle", 2001, sec. 6),
+  so reducing it into [-pi/2, pi/2) fixes the branch with no guard.
+* euler_class lifts every letter through its polar angle, reads the
+  lifted relator at the line of angle 0 and divides by pi.  With these
+  conventions the regular-polygon Fuchsian representation of genus g has
+  Euler class -(2g - 2); e.g. fuchsian_regular_polygon(2) -> -2.
 """
 
 from __future__ import annotations
@@ -32,18 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, IntegralityError
-
-#: Number of panels used to unwrap the angle function on [0, pi].  A
-#: single panel already determines the lift mathematically (a monotone
-#: degree-one map gains less than pi over any subinterval of [0, pi)),
-#: but subdividing keeps the per-panel gain far from the pi ambiguity
-#: for the steep maps that arise from hyperbolic elements.
-LIFT_GRID = 64
-
-#: A wrapped increment this close to pi is treated as a wrap-around of
-#: a near-zero increment; genuine per-panel gains of generator-sized
-#: matrices stay well below this (see LIFT_GRID note).
-_WRAP_GUARD = 1e-9
 
 DET_TOLERANCE = 1e-6
 TYPE_TOLERANCE = 1e-9
@@ -349,106 +344,52 @@ def fuchsian_regular_polygon(genus: int) -> Representation:
 
 
 # ---------------------------------------------------------------------------
-# Circle lifts and the Euler class
+# The Euler class from the rotation cocycle
 # ---------------------------------------------------------------------------
 
-class LiftedCircleMap:
-    """Monotone lift to R of the action of a Moebius element on P^1(R).
-
-    Stored as a base matrix plus an integer multiple of pi; the base
-    lift is the one taking 0 into [0, pi).  Composition and functional
-    inverse track the integer part explicitly, so commutators of lifts
-    are independent of which lift was chosen for each factor (the
-    corrections are central and cancel)."""
-
-    __slots__ = ("moebius", "shift", "_grid")
-
-    def __init__(self, moebius: Moebius, shift: int = 0):
-        self.moebius = moebius
-        self.shift = int(shift)
-        self._grid = None
-
-    def _raw_angle(self, x: float) -> float:
-        """Angle in [0, pi) of the image of the line at angle x."""
-        m = self.moebius.mat
-        c, s = math.cos(x), math.sin(x)
-        return math.atan2(m[1, 0] * c + m[1, 1] * s, m[0, 0] * c + m[0, 1] * s) % math.pi
-
-    def _grid_values(self):
-        if self._grid is None:
-            values = [self._raw_angle(0.0)]
-            for k in range(1, LIFT_GRID + 1):
-                prev = values[-1]
-                gain = (self._raw_angle(k * math.pi / LIFT_GRID) - prev) % math.pi
-                if gain > math.pi - _WRAP_GUARD:
-                    gain -= math.pi
-                values.append(prev + gain)
-            self._grid = values
-        return self._grid
-
-    def __call__(self, x: float) -> float:
-        n = math.floor(x / math.pi)
-        frac = x - n * math.pi
-        if frac >= math.pi:
-            frac -= math.pi
-            n += 1
-        if frac < 0.0:
-            frac = 0.0
-        grid = self._grid_values()
-        base = grid[min(int(frac * LIFT_GRID / math.pi), LIFT_GRID - 1)]
-        gain = (self._raw_angle(frac) - base) % math.pi
-        if gain > math.pi - _WRAP_GUARD:
-            gain -= math.pi
-        return base + gain + (self.shift + n) * math.pi
-
-    def _integer_offset(self, value: float) -> int:
-        k = value / math.pi
-        rounded = round(k)
-        if abs(k - rounded) > 1e-6:
-            raise IntegralityError(
-                f"lift bookkeeping lost continuity (offset {k} pi not integral)"
-            )
-        return rounded
-
-    def compose(self, other: "LiftedCircleMap") -> "LiftedCircleMap":
-        """Functional composition self after other."""
-        product = self.moebius * other.moebius
-        out = LiftedCircleMap(product, 0)
-        out.shift = self._integer_offset(self(other(0.0)) - out(0.0))
-        return out
-
-    def inverse(self) -> "LiftedCircleMap":
-        """The functional inverse (not merely some lift of the inverse
-        matrix): fixes inverse(self(0)) = 0."""
-        out = LiftedCircleMap(self.moebius.inverse(), 0)
-        out.shift = -out._integer_offset(out(self(0.0)))
-        return out
+def _polar_angle(m) -> float:
+    """Angle of the rotation R in the polar decomposition m = R P, P
+    symmetric positive definite."""
+    return math.atan2(m[1, 0] - m[0, 1], m[0, 0] + m[1, 1])
 
 
-def circle_lift(m: Moebius) -> LiftedCircleMap:
-    """The canonical lift of m's projective action, with lift(0) in [0, pi)."""
-    return LiftedCircleMap(m, 0)
+def _wrap(x: float) -> float:
+    """x reduced mod pi into [-pi/2, pi/2)."""
+    return (x + math.pi / 2) % math.pi - math.pi / 2
 
 
 def euler_class(rep: Representation, tol: float = EULER_TOLERANCE) -> tuple:
-    """(euler, residual): the lifted relator prod_i [lift a_i, lift b_i]
-    evaluated at 0, divided by pi and rounded to the nearest integer.
+    """(euler, residual): the lifted relator read at the line of angle 0,
+    divided by pi and rounded to the nearest integer.
+
+    The relator's lift accumulates each letter's polar angle and the
+    rotation cocycle.  Its image of the line at angle 0 is that total
+    plus the wrapped angle from theta(relator) to the image line; reading
+    there rather than at theta(relator) keeps drift in the relator's
+    upper-right entry, which fixes that line, out of the gate.
 
     residual is the distance of that ratio from the integer; when it
     exceeds tol the representation has no readable Euler class and an
-    IntegralityError is raised.  Commutators of lifts do not depend on
-    the choice of lifts, so the integer is well defined; it is also
-    conjugation invariant, and bounded by 2g - 2 in magnitude
+    IntegralityError is raised.  The relator is a product of
+    commutators, so the integer does not depend on the lift chosen for
+    each letter; it is conjugation invariant, changes sign under
+    orientation reversal, and is bounded by 2g - 2 in magnitude
     (Milnor-Wood) whenever the relator genuinely closes up."""
-    total = LiftedCircleMap(Moebius.identity(), 0)
-    for i in range(rep.genus):
-        lift_a = circle_lift(rep.images[2 * i])
-        lift_b = circle_lift(rep.images[2 * i + 1])
-        commutator = (
-            lift_a.compose(lift_b).compose(lift_a.inverse()).compose(lift_b.inverse())
-        )
-        total = total.compose(commutator)
-    ratio = total(0.0) / math.pi
+    acc = np.eye(2)
+    turn = 0.0
+    for letter in relator_word(rep.genus):
+        # an inverse letter is the adjugate of the stored matrix, not a
+        # renormalised Moebius: sign normalisation maps a trace-zero
+        # inverse back to the letter itself, whose polar angle is +pi/2
+        # where its inverse's must be -pi/2
+        m = rep.images[abs(letter) - 1].mat
+        g = m if letter > 0 else np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+        step = _polar_angle(g)
+        product = acc.dot(g)
+        turn += step + _wrap(_polar_angle(product) - _polar_angle(acc) - step)
+        acc = product
+    turn += _wrap(math.atan2(acc[1, 0], acc[0, 0]) - _polar_angle(acc))
+    ratio = turn / math.pi
     nearest = round(ratio)
     residual = abs(ratio - nearest)
     if residual > tol:

@@ -99,19 +99,6 @@ def moebius_apply(mat, z):
     return (a * z + b) / (c * z + d)
 
 
-def line_angle(mat, theta):
-    """Angle mod pi of the image of the line direction exp(i theta).
-
-    Acts linearly on the vector (cos, sin); this is the projective
-    circle action computed without any lifting machinery.
-    """
-    a, b = mat[0]
-    c, d = mat[1]
-    x, y = math.cos(theta), math.sin(theta)
-    u, v = a * x + b * y, c * x + d * y
-    return math.atan2(v, u) % math.pi
-
-
 def naive_reduced_words(genus, max_len):
     """All reduced words as letter tuples, by breadth-first growth."""
     letters = []

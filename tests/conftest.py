@@ -36,3 +36,13 @@ def make_noncommuting_bad_rep():
             reps.Moebius.identity(),
         ),
     )
+
+
+def make_steep_conjugate_rep():
+    """The genus-3 polygon conjugated by rotation(0.5) diag(12, 1/12).
+
+    Its generator entries reach about 650, so their projective actions
+    are steep; the relator closes to about 1e-7 and the Euler class is
+    -4."""
+    conj = reps.Moebius.rotation(0.5) * reps.Moebius([[12.0, 0.0], [0.0, 1.0 / 12.0]])
+    return reps.conjugate(reps.fuchsian_regular_polygon(3), conj)

@@ -7,7 +7,7 @@ import pytest
 
 from adsvol import cli, forms, liealg, reps
 from adsvol.reps import save_representation
-from conftest import make_noncommuting_bad_rep
+from conftest import make_noncommuting_bad_rep, make_steep_conjugate_rep
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +117,16 @@ def test_euler_integrality_failure_exits_four(tmp_path, capsys):
     assert code == 4
     assert out == ""
     assert "integrality failure" in err
+
+
+def test_euler_steep_conjugate_exits_zero(tmp_path, capsys):
+    path = tmp_path / "steep.json"
+    save_representation(make_steep_conjugate_rep(), path)
+    code, out, err = run_cli(capsys, "euler", "--rep", str(path))
+    assert code == 0
+    payload = parse_single_json(out)
+    assert payload["euler"] == -4
+    assert payload["residual"] <= 1e-6
 
 
 # -------------------------------------------------------------- lipschitz

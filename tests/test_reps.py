@@ -1,4 +1,5 @@
-"""Surface-group representations, circle lifts, Euler classes."""
+"""Surface-group representations and Euler classes read from the
+rotation cocycle."""
 
 import json
 import math
@@ -6,16 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import line_angle
 from adsvol import reps
 from adsvol.errors import InputError, IntegralityError
 from adsvol.reps import (
-    LiftedCircleMap,
     Moebius,
     Representation,
     SurfaceGroup,
     Word,
-    circle_lift,
     conjugate,
     elem_type,
     euler_class,
@@ -30,7 +28,7 @@ from adsvol.reps import (
     translation_length,
     trivial_representation,
 )
-from conftest import make_noncommuting_bad_rep
+from conftest import make_noncommuting_bad_rep, make_steep_conjugate_rep
 
 
 # --------------------------------------------------------------- moebius
@@ -201,76 +199,65 @@ def test_fuchsian_polygon_rejects_low_genus():
         fuchsian_regular_polygon(1)
 
 
-# ------------------------------------------------------------ lifts
+# ------------------------------------------------------- rotation cocycle
 
 
-def test_identity_lift_is_identity_map():
-    lift = circle_lift(Moebius.identity())
-    for x in (0.0, 0.3, 1.0, 3.0, -2.5):
-        assert abs(lift(x) - x) < 1e-12
+def _flipped(rep):
+    """Orientation reversal: conjugation by diag(1, -1)."""
+    return Representation(rep.group, tuple(
+        Moebius([[m.mat[0, 0], -m.mat[0, 1]], [-m.mat[1, 0], m.mat[1, 1]]])
+        for m in rep.images
+    ))
 
 
-def test_rotation_lift_is_translation():
-    alpha = 0.7
-    lift = circle_lift(Moebius.rotation(alpha))
-    assert abs(lift(0.0) - alpha) < 1e-12
-    for x in (-1.0, 0.2, 2.9):
-        assert abs(lift(x) - (x + alpha)) < 1e-10
+@pytest.mark.parametrize("genus", [2, 3])
+def test_euler_class_orientation_flip_negates(genus):
+    polygon = fuchsian_regular_polygon(genus)
+    for g in (Moebius.identity(), Moebius([[1.3, 0.4], [-0.2, 0.9]])):
+        rep = conjugate(polygon, g)
+        flipped, residual = euler_class(_flipped(rep))
+        assert flipped == -euler_class(rep)[0] == 2 * genus - 2
+        assert residual < 1e-6
 
 
-def test_lift_base_value_in_fundamental_window(rng):
-    for _ in range(20):
-        m = Moebius([[1.0 + rng.random(), rng.random() - 0.5],
-                     [rng.random() - 0.5, 1.0 + rng.random()]])
-        lift = circle_lift(m)
-        assert 0.0 <= lift(0.0) < math.pi
+def test_euler_class_handle_order_invariant(fuchsian_g3):
+    """[a2, b2][a3, b3][a1, b1] is conjugate to the relator, so the
+    reordered images form a representation with the same class."""
+    images = fuchsian_g3.images
+    rotated = Representation(fuchsian_g3.group, images[2:] + images[:2])
+    assert euler_class(rotated)[0] == euler_class(fuchsian_g3)[0] == -4
 
 
-def test_lift_equivariance_against_raw_action(rng):
-    """lift(x) must equal the projective line action mod pi, and must
-    commute with the deck translation x -> x + pi."""
-    for _ in range(10):
-        m = Moebius([[1.0 + rng.random(), rng.random() - 0.5],
-                     [rng.random() - 0.5, 1.0 + rng.random()]])
-        lift = circle_lift(m)
-        for _ in range(40):
-            x = rng.uniform(-8.0, 8.0)
-            raw = line_angle(np.asarray(m.mat, dtype=float), x)
-            assert abs((lift(x) - raw) % math.pi) < 1e-8 or (
-                math.pi - abs((lift(x) - raw) % math.pi)
-            ) < 1e-8
-            assert abs(lift(x + math.pi) - (lift(x) + math.pi)) < 1e-9
+def test_euler_class_high_genus_polygon():
+    e, residual = euler_class(fuchsian_regular_polygon(50))
+    assert e == -98
+    assert residual <= 1e-6
 
 
-def test_lift_monotone_on_samples(fuchsian_g2):
-    for image in fuchsian_g2.images:
-        lift = circle_lift(image)
-        values = [lift(k * math.pi / 200.0) for k in range(201)]
-        assert all(b > a for a, b in zip(values, values[1:]))
-        assert abs(values[-1] - values[0] - math.pi) < 1e-9
+def test_euler_class_steep_conjugate():
+    rep = make_steep_conjugate_rep()
+    assert relator_residual(rep) < 1e-6
+    e, residual = euler_class(rep)
+    assert e == -4
+    assert residual <= 1e-6
 
 
-def test_lift_composition_and_inverse(rng):
-    a = Moebius([[1.4, 0.3], [0.2, 1.0]])
-    b = Moebius.rotation(1.1)
-    la, lb = circle_lift(a), circle_lift(b)
-    composed = la.compose(lb)
-    inv = la.inverse()
-    for _ in range(50):
-        x = rng.uniform(-5.0, 5.0)
-        assert abs(composed(x) - la(lb(x))) < 1e-9
-        assert abs(inv(la(x)) - x) < 1e-8
-
-
-def test_commutator_of_lifts_ignores_lift_choice():
-    a = Moebius([[1.4, 0.3], [0.2, 1.0]])
-    b = Moebius.rotation(1.1)
-    base = LiftedCircleMap(a)
-    shifted = LiftedCircleMap(a, shift=3)
-    lb = circle_lift(b)
-    for lift_a in (base, shifted):
-        comm = lift_a.compose(lb).compose(lift_a.inverse()).compose(lb.inverse())
-        assert abs(comm(0.0) - base.compose(lb).compose(base.inverse()).compose(lb.inverse())(0.0)) < 1e-9
+def test_euler_class_half_turn_generators_vanish():
+    """A half-turn has trace exactly 0, so Moebius normalises its inverse
+    back to itself; the inverse letter must still lift to the inverse."""
+    half = Moebius([[0.0, -1.0], [1.0, 0.0]])
+    stretched = Moebius([[0.0, -4.0], [0.25, 0.0]])
+    r = Moebius.rotation(0.3)
+    ident = Moebius.identity()
+    for images in (
+        (half, ident, ident, ident),
+        (ident, half, ident, ident),
+        (half, half, half, half),
+        (stretched, ident, stretched, stretched),
+        (half, r, half, half, r * r, half),
+    ):
+        rep = Representation(SurfaceGroup(len(images) // 2), images)
+        assert euler_class(rep) == (0, 0.0)
 
 
 # ------------------------------------------------------------ euler class
