@@ -13,17 +13,22 @@ below 1 proves nothing (the bound only grows with the cutoff).  A
 maximal |Euler class| for sigma refutes independently: sigma would sit
 in a Fuchsian component rather than being strictly dominated.
 
-Enumeration order is a fixed depth-first preorder over the letter order
+The scan runs one word length at a time on numpy arrays of 2x2
+products, built in blocks of bounded size that are walked depth-first,
+so memory stays O(block size x cutoff) and the word cap bounds time only.
+Within a length the rows are in shortlex order over the letter order
 1, -1, 2, -2, ...; the running maximum is combined with an associative
 reduction whose ties are resolved towards the shortlex-smaller witness,
-so partitioning the scan by leading letter cannot change the result.
+so neither partitioning the scan by leading letter nor the blocking can
+change the result.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InputError
 from .reps import Representation, Word, euler_class
@@ -36,6 +41,9 @@ DEFAULT_DENOMINATOR_FLOOR = 1e-6
 
 VERDICT_REFUTED = "refuted"
 VERDICT_NOT_REFUTED = "not_refuted"
+
+# Most rows of one block of the batched scan (see _scan_leading).
+_BLOCK_ROWS = 1 << 13
 
 
 def max_words_cap() -> int:
@@ -105,78 +113,104 @@ class LipschitzEstimate:
     denominator_floor: float
 
 
-def _flat_generators(rep: Representation) -> dict:
-    """letter -> (a, b, c, d) floats, inverses included."""
-    table = {}
+def _flat_generators(rep: Representation) -> np.ndarray:
+    """(4g, 4) float array: row j holds the row-major entries (a, b, c, d)
+    of letter_order(g)[j], inverses included."""
+    rows = []
     for letter in range(1, 2 * rep.genus + 1):
         m = rep.images[letter - 1].mat
-        table[letter] = (m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-        table[-letter] = (m[1, 1], -m[0, 1], -m[1, 0], m[0, 0])
-    return table
+        rows.append((m[0, 0], m[0, 1], m[1, 0], m[1, 1]))
+        rows.append((m[1, 1], -m[0, 1], -m[1, 0], m[0, 0]))
+    return np.array(rows, dtype=float)
+
+
+def _lengths(prods: np.ndarray) -> np.ndarray:
+    """Translation lengths 2 arccosh(|tr| / 2) of the (m, 4) products,
+    0 where the product is not hyperbolic."""
+    half = np.abs(prods[:, 0] + prods[:, 3]) / 2.0
+    out = np.zeros_like(half)
+    np.arccosh(half, out=out, where=half > 1.0)
+    return 2.0 * out
+
+
+def _extend(prods: np.ndarray, table: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Right-multiply every product by every generator, as the same
+    separate multiplies and adds as a 2x2 product written out by hand,
+    and keep the (row, letter) pairs flagged in `keep`, row-major."""
+    a, b, c, d = (prods[:, k, None] for k in range(4))
+    ga, gb, gc, gd = table.T
+    out = np.empty((np.count_nonzero(keep), 4))
+    out[:, 0] = (a * ga + b * gc)[keep]
+    out[:, 1] = (a * gb + b * gd)[keep]
+    out[:, 2] = (c * ga + d * gc)[keep]
+    out[:, 3] = (c * gb + d * gd)[keep]
+    return out
 
 
 def _scan_leading(leading, rho_table, sigma_table, max_len, floor, genus):
     """Best (ratio, witness) over reduced words starting with `leading`,
-    plus the number of words scanned.  Matrices are accumulated left to
-    right with plain float arithmetic so partitioning cannot change a
-    single rounding."""
+    plus the number of words scanned.
+
+    Words are scanned one length at a time.  A frontier holds the rho
+    and sigma products of its words as (m, 4) arrays plus their letters;
+    the next length multiplies every row by every letter but the inverse
+    of its last one.  Rows stay in shortlex order, so the first maximum
+    of a frontier is its shortlex-least witness.  The next frontier is
+    built from consecutive rows in blocks of at most about _BLOCK_ROWS
+    rows, and each block is walked to full depth before the next, so
+    live memory is O(_BLOCK_ROWS * max_len) whatever max_len is.  Words
+    of equal length are still met in shortlex order, so a later maximum
+    replaces the best only when it is larger, or equal and shorter.
+    Products are accumulated left to right in plain float arithmetic,
+    so neither the partition by leading letter nor the blocking changes
+    a single rounding."""
     order = letter_order(genus)
-    rank = {letter: pos for pos, letter in enumerate(order)}
-
-    def key(word):
-        return (len(word), tuple(rank[x] for x in word))
-
+    n = len(order)
+    # letter j is followed by anything but its inverse j ^ 1
+    keep = np.arange(n)[None, :] != (np.arange(n) ^ 1)[:, None]
+    follow = np.nonzero(keep)[1].reshape(n, n - 1).astype(np.min_scalar_type(n))
+    step = max(1, _BLOCK_ROWS // (n - 1))
     best_ratio = 0.0
     best_witness = None
     scanned = 0
-    # stack entries: (word tuple, rho product, sigma product)
-    stack = [((leading,), rho_table[leading], sigma_table[leading])]
-    while stack:
-        word, rho_m, sigma_m = stack.pop()
-        scanned += 1
-        trace = abs(rho_m[0] + rho_m[3])
-        if trace > 2.0:
-            rho_len = 2.0 * math.acosh(trace / 2.0)
-            if rho_len > floor:
-                s_trace = abs(sigma_m[0] + sigma_m[3])
-                sigma_len = (
-                    2.0 * math.acosh(s_trace / 2.0) if s_trace > 2.0 else 0.0
-                )
-                ratio = sigma_len / rho_len
-                if (
-                    best_witness is None
-                    or ratio > best_ratio
-                    or (ratio == best_ratio and key(word) < key(best_witness))
-                ):
-                    best_ratio = ratio
-                    best_witness = word
-        if len(word) < max_len:
-            last = word[-1]
-            ra, rb, rc, rd = rho_m
-            sa, sb, sc, sd = sigma_m
-            # push in reverse order so the stack pops in letter order
-            for letter in reversed(order):
-                if letter == -last:
-                    continue
-                ga, gb, gc, gd = rho_table[letter]
-                ha, hb, hc, hd = sigma_table[letter]
-                stack.append(
-                    (
-                        word + (letter,),
-                        (
-                            ra * ga + rb * gc,
-                            ra * gb + rb * gd,
-                            rc * ga + rd * gc,
-                            rc * gb + rd * gd,
-                        ),
-                        (
-                            sa * ha + sb * hc,
-                            sa * hb + sb * hd,
-                            sc * ha + sd * hc,
-                            sc * hb + sd * hd,
-                        ),
-                    )
-                )
+
+    def visit(rho_m, sigma_m, letters):
+        nonlocal best_ratio, best_witness, scanned
+        scanned += len(letters)
+        rho_len = _lengths(rho_m)
+        # -1 marks the words whose rho-length does not clear the floor
+        ratio = np.divide(
+            _lengths(sigma_m),
+            rho_len,
+            out=np.full_like(rho_len, -1.0),
+            where=rho_len > floor,
+        )
+        i = int(np.argmax(ratio))
+        r = float(ratio[i])
+        length = letters.shape[1]
+        if r >= 0.0 and (
+            best_witness is None
+            or r > best_ratio
+            or (r == best_ratio and length < len(best_witness))
+        ):
+            best_ratio = r
+            best_witness = tuple(order[j] for j in letters[i])
+        if length == max_len:
+            return
+        for lo in range(0, len(letters), step):
+            block = letters[lo : lo + step]
+            mask = keep[block[:, -1]]
+            visit(
+                _extend(rho_m[lo : lo + step], rho_table, mask),
+                _extend(sigma_m[lo : lo + step], sigma_table, mask),
+                np.column_stack(
+                    (np.repeat(block, n - 1, axis=0), follow[block[:, -1]].ravel())
+                ),
+            )
+
+    j = order.index(leading)
+    first = np.array([[j]], dtype=follow.dtype)
+    visit(rho_table[j : j + 1], sigma_table[j : j + 1], first)
     witness = Word(best_witness) if best_witness is not None else None
     return best_ratio, witness, scanned
 

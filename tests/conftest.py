@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -46,3 +47,15 @@ def make_steep_conjugate_rep():
     -4."""
     conj = reps.Moebius.rotation(0.5) * reps.Moebius([[12.0, 0.0], [0.0, 1.0 / 12.0]])
     return reps.conjugate(reps.fuchsian_regular_polygon(3), conj)
+
+
+def make_pinched_rep(genus):
+    """sigma(a_i) = R_i diag(e^1/2, e^-1/2) R_i^-1 with fixed rotations
+    R_i, sigma(b_i) = 1: every commutator is trivial, Euler class 0, and
+    the translation lengths are spread out rather than tied."""
+    stretch = reps.Moebius([[math.exp(0.5), 0.0], [0.0, math.exp(-0.5)]])
+    images = []
+    for i in range(genus):
+        rot = reps.Moebius.rotation(math.pi * i / genus + 0.1)
+        images += [rot * stretch * rot.inverse(), reps.Moebius.identity()]
+    return reps.Representation(reps.SurfaceGroup(genus), tuple(images))

@@ -2,10 +2,12 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from _oracles import naive_reduced_words
+from conftest import make_pinched_rep
 from adsvol import admissibility, reps
 from adsvol.admissibility import (
     VERDICT_NOT_REFUTED,
@@ -112,13 +114,158 @@ def test_bound_monotone_in_depth(fuchsian_g2):
     assert all(b >= a for a, b in zip(bounds, bounds[1:]))
 
 
-def test_bound_is_deterministic_under_partition_order(fuchsian_g2):
+def test_bound_is_deterministic_under_partition_order(fuchsian_g3):
+    sigma = reps.conjugate(fuchsian_g3, Moebius([[1.2, 0.1], [0.4, 1.0]]))
+    reference = lipschitz_lower_bound(fuchsian_g3, sigma, max_len=3)
+    # re-fold the per-letter partials in random orders; the acceptance
+    # criterion does the same at genus 2
+    rho_table = admissibility._flat_generators(fuchsian_g3)
+    sigma_table = admissibility._flat_generators(sigma)
+    pieces = [
+        admissibility._scan_leading(letter, rho_table, sigma_table, 3, 1e-6, 3)
+        for letter in letter_order(3)
+    ]
+    for seed in range(5):
+        random.Random(seed).shuffle(pieces)
+        acc = (0.0, None, 0)
+        for piece in pieces:
+            acc = combine_partials(acc, piece, 3)
+        assert acc == (
+            reference.lower_bound,
+            reference.witness,
+            reference.words_scanned,
+        )
+
+
+# ------------------------------------------- batched scan vs plain Python
+
+
+def _reference_lengths(rep, genus, max_len):
+    """letters -> translation length of the image, in plain Python.
+
+    Each word's product is its prefix's product times one generator,
+    written out entry by entry (naive_reduced_words grows breadth-first,
+    so every prefix comes first).  Moebius products would renormalise
+    and reassociate; on words like (-6, 3, 6) at genus 3, a generator
+    conjugated by a long letter, the ratio then moves by up to ~1e-11
+    against the left-to-right float product, which is rounding, not a
+    scan fault."""
+    images = {(): (1.0, 0.0, 0.0, 1.0)}
+    lengths = {}
+    for letters in naive_reduced_words(genus, max_len):
+        a, b, c, d = images[letters[:-1]]
+        ga, gb, gc, gd = (float(x) for x in rep.generator(letters[-1]).mat.flat)
+        product = (a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd)
+        images[letters] = product
+        half = abs(product[0] + product[3]) / 2.0
+        lengths[letters] = 2.0 * math.acosh(half) if half > 1.0 else 0.0
+    return lengths
+
+
+def _check_against_reference(rho, sigma, rho_lengths, sigma_lengths, max_len, floor):
+    est = lipschitz_lower_bound(rho, sigma, max_len=max_len, floor=floor)
+    words = [w for w in rho_lengths if len(w) <= max_len]
+    ratios = [
+        sigma_lengths[w] / rho_lengths[w] for w in words if rho_lengths[w] > floor
+    ]
+    assert est.words_scanned == len(words)
+    assert math.isclose(est.lower_bound, max(ratios), rel_tol=0, abs_tol=1e-12)
+    witness = Word(est.witness.letters)  # rejects an unreduced word
+    assert 1 <= len(witness) <= max_len
+    assert rho_lengths[witness.letters] > floor
+    ratio = sigma_lengths[witness.letters] / rho_lengths[witness.letters]
+    assert math.isclose(ratio, est.lower_bound, rel_tol=0, abs_tol=1e-12)
+    return est
+
+
+@pytest.mark.parametrize("genus, max_len", [(2, 5), (3, 4)])
+def test_scan_matches_plain_python_reference(genus, max_len):
+    rho = reps.fuchsian_regular_polygon(genus)
+    rho_lengths = _reference_lengths(rho, genus, max_len)
+    conj = reps.conjugate(rho, Moebius([[1.3, 0.4], [0.1, 1.0]]))
+    conj_lengths = _reference_lengths(conj, genus, max_len)
+    for sigma in (conj, make_pinched_rep(genus), reps.trivial_representation(genus)):
+        sigma_lengths = (
+            conj_lengths
+            if sigma is conj
+            else _reference_lengths(sigma, genus, max_len)
+        )
+        for n in range(1, max_len + 1):
+            _check_against_reference(rho, sigma, rho_lengths, sigma_lengths, n, 1e-6)
+    # a floor above every generator's length leaves only longer words
+    floor = 1.5 * max(rho_lengths[(letter,)] for letter in letter_order(genus))
+    est = _check_against_reference(
+        rho, conj, rho_lengths, conj_lengths, max_len, floor
+    )
+    assert len(est.witness) >= 2
+
+
+def test_identity_and_trivial_ties_are_exact_at_depth_six(fuchsian_g2):
+    # identical products give identical lengths, so every ratio is
+    # exactly 1 (resp. 0) and the shortlex-least word wins the tie
+    est = lipschitz_lower_bound(fuchsian_g2, fuchsian_g2, max_len=6)
+    assert (est.lower_bound, est.witness) == (1.0, Word((1,)))
+    trivial = reps.trivial_representation(2)
+    est = lipschitz_lower_bound(fuchsian_g2, trivial, max_len=6)
+    assert (est.lower_bound, est.witness) == (0.0, Word((1,)))
+
+
+@pytest.mark.parametrize("block_rows", [None, 7])
+def test_exact_ties_go_to_the_shortlex_least_word(fuchsian_g2, monkeypatch, block_rows):
+    # against rho itself every ratio is exactly 1, against the trivial
+    # rep exactly 0, so the witness is the shortlex-least word whose
+    # rho-length clears the floor; tiny blocks make a shorter word turn
+    # up after longer ones
+    if block_rows is not None:
+        monkeypatch.setattr(admissibility, "_BLOCK_ROWS", block_rows)
+    lengths = _reference_lengths(fuchsian_g2, 2, 4)
+    floors = sorted({round(v, 9) for w, v in lengths.items() if len(w) <= 3})
+    for floor in floors[:-1]:
+        want = min(
+            (w for w, v in lengths.items() if v > floor),
+            key=lambda w: shortlex_key(Word(w), 2),
+        )
+        for sigma, ratio in (
+            (fuchsian_g2, 1.0),
+            (reps.trivial_representation(2), 0.0),
+        ):
+            est = lipschitz_lower_bound(fuchsian_g2, sigma, max_len=4, floor=floor)
+            assert (est.lower_bound, est.witness) == (ratio, Word(want)), floor
+
+
+def test_block_boundaries_do_not_change_the_result(
+    fuchsian_g2, fuchsian_g3, monkeypatch
+):
+    shear = Moebius([[1.2, 0.1], [0.4, 1.0]])
+    pairs = [
+        (fuchsian_g2, reps.conjugate(fuchsian_g2, shear), 5),
+        (fuchsian_g2, reps.trivial_representation(2), 5),
+        (fuchsian_g3, reps.conjugate(fuchsian_g3, shear), 3),
+    ]
+
+    def run(rho, sigma, n):
+        est = lipschitz_lower_bound(rho, sigma, max_len=n)
+        return est.lower_bound, est.witness, est.words_scanned
+
+    default = [run(*pair) for pair in pairs]
+    # 7 rows is less than one parent's children at genus 3
+    monkeypatch.setattr(admissibility, "_BLOCK_ROWS", 7)
+    assert [run(*pair) for pair in pairs] == default
+
+
+def test_scan_memory_is_bounded_by_the_block(fuchsian_g2):
+    # a g=2, L=7 scan covers 1.1 M words; blocked it peaks near 2 MB,
+    # while the whole last frontier of one leading letter (117,649 rows)
+    # would peak near 14 MB
     sigma = reps.conjugate(fuchsian_g2, Moebius([[1.2, 0.1], [0.4, 1.0]]))
-    reference = lipschitz_lower_bound(fuchsian_g2, sigma, max_len=3)
-    # recompute and also re-fold the per-letter partials in random orders
-    repeat = lipschitz_lower_bound(fuchsian_g2, sigma, max_len=3)
-    assert repeat.lower_bound == reference.lower_bound
-    assert repeat.witness == reference.witness
+    tracemalloc.start()
+    try:
+        est = lipschitz_lower_bound(fuchsian_g2, sigma, max_len=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.words_scanned == reduced_word_count(2, 7)
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_combine_partials_is_shortlex_stable():
