@@ -16,7 +16,6 @@ from .admissibility import (
     AdmissibilityReport,
     LipschitzEstimate,
     admissibility_report,
-    enumerate_reduced_words,
     lipschitz_lower_bound,
 )
 from .errors import ConventionWarning, InputError, IntegralityError

@@ -17,10 +17,9 @@ The scan runs one word length at a time on numpy arrays of 2x2
 products, built in blocks of bounded size that are walked depth-first,
 so memory stays O(block size x cutoff) and the word cap bounds time only.
 Within a length the rows are in shortlex order over the letter order
-1, -1, 2, -2, ...; the running maximum is combined with an associative
-reduction whose ties are resolved towards the shortlex-smaller witness,
-so neither partitioning the scan by leading letter nor the blocking can
-change the result.
+1, -1, 2, -2, ..., and the blocks keep that order across the whole
+scan, so the result is the shortlex-least word of maximal ratio however
+the blocks fall.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ DEFAULT_DENOMINATOR_FLOOR = 1e-6
 VERDICT_REFUTED = "refuted"
 VERDICT_NOT_REFUTED = "not_refuted"
 
-# Most rows of one block of the batched scan (see _scan_leading).
+# Most rows of one block of the batched scan (see _scan).
 _BLOCK_ROWS = 1 << 13
 
 
@@ -69,39 +68,11 @@ def letter_order(genus: int) -> list:
     return order
 
 
-def shortlex_key(word: Word, genus: int):
-    """Sort key: length first, then the letter order above."""
-    rank = {letter: pos for pos, letter in enumerate(letter_order(genus))}
-    return (len(word), tuple(rank[x] for x in word))
-
-
 def reduced_word_count(genus: int, max_len: int) -> int:
     """Number of reduced words of length 1..max_len: per length L the
     count is 4g (4g - 1)^(L-1)."""
     n = 4 * genus
     return sum(n * (n - 1) ** (length - 1) for length in range(1, max_len + 1))
-
-
-def enumerate_reduced_words(genus: int, max_len: int):
-    """Yield every reduced word of length 1..max_len exactly once, in
-    depth-first preorder over the fixed letter order."""
-    if not isinstance(genus, int) or genus < 2:
-        raise InputError("genus must be an integer >= 2")
-    if not isinstance(max_len, int) or max_len < 1:
-        raise InputError("max_len must be an integer >= 1")
-    order = letter_order(genus)
-
-    def walk(prefix):
-        last = prefix[-1] if prefix else 0
-        for letter in order:
-            if letter == -last:
-                continue
-            word = prefix + (letter,)
-            yield Word(word)
-            if len(word) < max_len:
-                yield from walk(word)
-
-    yield from walk(())
 
 
 @dataclass(frozen=True)
@@ -147,23 +118,24 @@ def _extend(prods: np.ndarray, table: np.ndarray, keep: np.ndarray) -> np.ndarra
     return out
 
 
-def _scan_leading(leading, rho_table, sigma_table, max_len, floor, genus):
-    """Best (ratio, witness) over reduced words starting with `leading`,
+def _scan(rho_table, sigma_table, max_len, floor, genus):
+    """Best (ratio, witness) over all reduced words of length 1..max_len,
     plus the number of words scanned.
 
     Words are scanned one length at a time.  A frontier holds the rho
     and sigma products of its words as (m, 4) arrays plus their letters;
-    the next length multiplies every row by every letter but the inverse
-    of its last one.  Rows stay in shortlex order, so the first maximum
-    of a frontier is its shortlex-least witness.  The next frontier is
-    built from consecutive rows in blocks of at most about _BLOCK_ROWS
-    rows, and each block is walked to full depth before the next, so
-    live memory is O(_BLOCK_ROWS * max_len) whatever max_len is.  Words
-    of equal length are still met in shortlex order, so a later maximum
-    replaces the best only when it is larger, or equal and shorter.
-    Products are accumulated left to right in plain float arithmetic,
-    so neither the partition by leading letter nor the blocking changes
-    a single rounding."""
+    the first frontier is the 4g generators, and the next length
+    multiplies every row by every letter but the inverse of its last
+    one.  Rows stay in shortlex order, so the first maximum of a
+    frontier is its shortlex-least witness.  The next frontier is built
+    from consecutive rows in blocks of at most about _BLOCK_ROWS rows,
+    and each block is walked to full depth before the next, so live
+    memory is O(_BLOCK_ROWS * max_len) whatever max_len is.  Words of
+    equal length are still met in shortlex order, so a later maximum
+    replaces the best only when it is larger, or equal and shorter: the
+    result is the shortlex-least word of maximal ratio.  Products are
+    accumulated left to right in plain float arithmetic, so the blocking
+    does not change a single rounding."""
     order = letter_order(genus)
     n = len(order)
     # letter j is followed by anything but its inverse j ^ 1
@@ -208,31 +180,9 @@ def _scan_leading(leading, rho_table, sigma_table, max_len, floor, genus):
                 ),
             )
 
-    j = order.index(leading)
-    first = np.array([[j]], dtype=follow.dtype)
-    visit(rho_table[j : j + 1], sigma_table[j : j + 1], first)
+    visit(rho_table, sigma_table, np.arange(n, dtype=follow.dtype)[:, None])
     witness = Word(best_witness) if best_witness is not None else None
     return best_ratio, witness, scanned
-
-
-def combine_partials(a, b, genus):
-    """Associative, commutative reduction of (ratio, witness, scanned)
-    partial results; ties go to the shortlex-smaller witness and a
-    missing witness never beats a present one at equal ratio."""
-    ratio_a, witness_a, scanned_a = a
-    ratio_b, witness_b, scanned_b = b
-    scanned = scanned_a + scanned_b
-    if ratio_a > ratio_b:
-        return ratio_a, witness_a, scanned
-    if ratio_b > ratio_a:
-        return ratio_b, witness_b, scanned
-    if witness_a is None:
-        return ratio_b, witness_b, scanned
-    if witness_b is None:
-        return ratio_a, witness_a, scanned
-    if shortlex_key(witness_a, genus) <= shortlex_key(witness_b, genus):
-        return ratio_a, witness_a, scanned
-    return ratio_b, witness_b, scanned
 
 
 def lipschitz_lower_bound(
@@ -245,9 +195,9 @@ def lipschitz_lower_bound(
     translation lengths ell(sigma(w)) / ell(rho(w)), restricted to words
     whose rho-length exceeds the denominator floor.
 
-    Returns 0 with no witness when nothing clears the floor.  The scan
-    is partitioned by leading letter and reduced associatively, so the
-    result is bitwise independent of partition order."""
+    Returns 0 with no witness when nothing clears the floor.  Ties go
+    to the shortlex-least word, and the result is bitwise independent of
+    the scan's block size."""
     if rho.genus != sigma.genus:
         raise InputError("rho and sigma must have the same genus")
     if not isinstance(max_len, int) or max_len < 1:
@@ -261,15 +211,9 @@ def lipschitz_lower_bound(
             f"enumeration of {total} words exceeds the cap of {cap}; "
             f"raise {MAX_WORDS_ENV} to allow it"
         )
-    rho_table = _flat_generators(rho)
-    sigma_table = _flat_generators(sigma)
-    partial = (0.0, None, 0)
-    for leading in letter_order(rho.genus):
-        piece = _scan_leading(
-            leading, rho_table, sigma_table, max_len, floor, rho.genus
-        )
-        partial = combine_partials(partial, piece, rho.genus)
-    ratio, witness, scanned = partial
+    ratio, witness, scanned = _scan(
+        _flat_generators(rho), _flat_generators(sigma), max_len, floor, rho.genus
+    )
     return LipschitzEstimate(
         lower_bound=ratio,
         witness=witness,

@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-word-len",
         type=int,
         default=admissibility.DEFAULT_MAX_WORD_LENGTH,
-        help="scan reduced words up to this length (default 6)",
+        help="scan reduced words up to this length (default %(default)s)",
     )
 
     volume = sub.add_parser("volume", help="exact volume of a descriptor")

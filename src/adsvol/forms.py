@@ -96,10 +96,6 @@ class EndValuedForm:
                 f"tuples {expected}"
             )
 
-    @classmethod
-    def zero(cls, degree: int) -> "EndValuedForm":
-        return cls(degree, {k: _zero_matrix() for k in _increasing_tuples(degree)})
-
     def value_at(self, indices) -> np.ndarray:
         """Value on an arbitrary frame-index tuple, by antisymmetry."""
         sign, key = _sort_sign(indices)

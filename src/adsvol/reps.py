@@ -412,6 +412,15 @@ def representation_to_json(rep: Representation) -> dict:
     }
 
 
+def _is_number_pair(row) -> bool:
+    """A list of two real JSON numbers: int or float, never bool or str."""
+    return (
+        isinstance(row, list)
+        and len(row) == 2
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)
+    )
+
+
 def representation_from_json(data: dict) -> Representation:
     if not isinstance(data, dict):
         raise InputError("representation file must contain a JSON object")
@@ -423,8 +432,19 @@ def representation_from_json(data: dict) -> Representation:
         raise InputError(f"'generators' must list {2 * genus} matrices")
     images = []
     for index, entry in enumerate(generators):
-        mat = np.array(entry, dtype=float)
-        if mat.shape != (2, 2) or not np.isfinite(mat).all():
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and all(_is_number_pair(row) for row in entry)
+        ):
+            raise InputError(f"generator {index} must be two lists of two numbers")
+        try:
+            mat = np.array(entry, dtype=float)
+        except OverflowError as exc:
+            raise InputError(
+                f"generator {index} has an entry out of float range"
+            ) from exc
+        if not np.isfinite(mat).all():
             raise InputError(f"generator {index} is not a finite 2x2 matrix")
         det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
         if abs(det - 1.0) > DET_TOLERANCE:
@@ -446,6 +466,8 @@ def load_representation(path) -> Representation:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InputError(f"invalid JSON in {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
     return representation_from_json(data)

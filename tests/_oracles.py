@@ -116,3 +116,13 @@ def naive_reduced_words(genus, max_len):
         out.extend(nxt)
         frontier = nxt
     return out
+
+
+def shortlex_key(letters, genus):
+    """Sort key for letter tuples: length first, then letters ranked
+    1, -1, 2, -2, ..., 2g, -2g."""
+    rank = {}
+    for i in range(1, 2 * genus + 1):
+        rank[i] = 2 * i - 2
+        rank[-i] = 2 * i - 1
+    return (len(letters), tuple(rank[x] for x in letters))

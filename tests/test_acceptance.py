@@ -247,26 +247,22 @@ def test_criterion_8_admissibility_estimator():
         ]
         assert all(b >= a for a, b in zip(bounds, bounds[1:])), bounds
 
-        # determinism: re-running and re-folding partials in any order
-        # must reproduce the exact same floats
+        # determinism: re-running, and re-running under other block
+        # sizes (which re-partition the scan), must reproduce the exact
+        # same floats
         repeat = admissibility.lipschitz_lower_bound(rho, sigma, max_len=4)
         again = admissibility.lipschitz_lower_bound(rho, sigma, max_len=4)
         assert (repeat.lower_bound, repeat.witness) == (again.lower_bound, again.witness)
-        rho_table = admissibility._flat_generators(rho)
-        sigma_table = admissibility._flat_generators(sigma)
-        pieces = [
-            admissibility._scan_leading(letter, rho_table, sigma_table, 4, 1e-6, 2)
-            for letter in admissibility.letter_order(2)
-        ]
-        for seed in (1, 2, 3):
-            shuffled = pieces[:]
-            random.Random(seed).shuffle(shuffled)
-            acc = (0.0, None, 0)
-            for piece in shuffled:
-                acc = admissibility.combine_partials(acc, piece, 2)
-            assert acc[0] == repeat.lower_bound
-            assert acc[1] == repeat.witness
-            assert acc[2] == repeat.words_scanned
+        saved = admissibility._BLOCK_ROWS
+        try:
+            for block_rows in (1, 21, 100, 1000):
+                admissibility._BLOCK_ROWS = block_rows
+                est = admissibility.lipschitz_lower_bound(rho, sigma, max_len=4)
+                assert est.lower_bound == repeat.lower_bound, block_rows
+                assert est.witness == repeat.witness, block_rows
+                assert est.words_scanned == repeat.words_scanned, block_rows
+        finally:
+            admissibility._BLOCK_ROWS = saved
 
 
 def test_criterion_9_cli_contract(tmp_path, capsys, monkeypatch):

@@ -1,31 +1,27 @@
-"""Reduced-word enumeration and the Lipschitz-ratio lower bound."""
+"""Reduced-word counts and the Lipschitz-ratio lower bound."""
 
 import math
-import random
 import tracemalloc
 
 import pytest
 
-from _oracles import naive_reduced_words
+from _oracles import naive_reduced_words, shortlex_key
 from conftest import make_pinched_rep
 from adsvol import admissibility, reps
 from adsvol.admissibility import (
     VERDICT_NOT_REFUTED,
     VERDICT_REFUTED,
     admissibility_report,
-    combine_partials,
-    enumerate_reduced_words,
     letter_order,
     lipschitz_lower_bound,
     reduced_word_count,
     report_json,
-    shortlex_key,
 )
 from adsvol.errors import InputError
 from adsvol.reps import Moebius, Representation, SurfaceGroup, Word, translation_length
 
 
-# ----------------------------------------------------------- enumeration
+# ----------------------------------------------------------- word counts
 
 
 def test_reduced_word_count_formula():
@@ -34,36 +30,8 @@ def test_reduced_word_count_formula():
     assert reduced_word_count(2, 2) == 8 + 8 * 7
     assert reduced_word_count(2, 3) == 8 + 56 + 392
     assert reduced_word_count(3, 2) == 12 + 12 * 11
-
-
-def test_enumeration_matches_naive_oracle():
-    for genus, max_len in ((2, 3), (3, 2)):
-        got = [w.letters for w in enumerate_reduced_words(genus, max_len)]
-        want = naive_reduced_words(genus, max_len)
-        assert sorted(got) == sorted(want)
-        assert len(got) == len(set(got)) == reduced_word_count(genus, max_len)
-
-
-def test_enumeration_is_depth_first_in_letter_order():
-    words = [w.letters for w in enumerate_reduced_words(2, 2)]
-    # (1, -1) is skipped as unreduced, everything else follows the order
-    assert words[:5] == [(1,), (1, 1), (1, 2), (1, -2), (1, 3)]
-    assert words[8] == (-1,)
-    assert words[9] == (-1, -1)
+    # the scan's letter order, which its shortlex ties follow
     assert letter_order(2) == [1, -1, 2, -2, 3, -3, 4, -4]
-
-
-def test_enumeration_rejects_bad_genus():
-    with pytest.raises(InputError):
-        list(enumerate_reduced_words(1, 3))
-
-
-def test_shortlex_orders_by_length_then_letters():
-    w1 = Word((1,))
-    w2 = Word((-1,))
-    w3 = Word((1, 1))
-    keys = [shortlex_key(w, 2) for w in (w1, w2, w3)]
-    assert keys[0] < keys[1] < keys[2]
 
 
 # ----------------------------------------------------------- lower bound
@@ -112,29 +80,6 @@ def test_bound_monotone_in_depth(fuchsian_g2):
         for n in range(1, 5)
     ]
     assert all(b >= a for a, b in zip(bounds, bounds[1:]))
-
-
-def test_bound_is_deterministic_under_partition_order(fuchsian_g3):
-    sigma = reps.conjugate(fuchsian_g3, Moebius([[1.2, 0.1], [0.4, 1.0]]))
-    reference = lipschitz_lower_bound(fuchsian_g3, sigma, max_len=3)
-    # re-fold the per-letter partials in random orders; the acceptance
-    # criterion does the same at genus 2
-    rho_table = admissibility._flat_generators(fuchsian_g3)
-    sigma_table = admissibility._flat_generators(sigma)
-    pieces = [
-        admissibility._scan_leading(letter, rho_table, sigma_table, 3, 1e-6, 3)
-        for letter in letter_order(3)
-    ]
-    for seed in range(5):
-        random.Random(seed).shuffle(pieces)
-        acc = (0.0, None, 0)
-        for piece in pieces:
-            acc = combine_partials(acc, piece, 3)
-        assert acc == (
-            reference.lower_bound,
-            reference.witness,
-            reference.words_scanned,
-        )
 
 
 # ------------------------------------------- batched scan vs plain Python
@@ -223,7 +168,7 @@ def test_exact_ties_go_to_the_shortlex_least_word(fuchsian_g2, monkeypatch, bloc
     for floor in floors[:-1]:
         want = min(
             (w for w, v in lengths.items() if v > floor),
-            key=lambda w: shortlex_key(Word(w), 2),
+            key=lambda w: shortlex_key(w, 2),
         )
         for sigma, ratio in (
             (fuchsian_g2, 1.0),
@@ -248,15 +193,18 @@ def test_block_boundaries_do_not_change_the_result(
         return est.lower_bound, est.witness, est.words_scanned
 
     default = [run(*pair) for pair in pairs]
-    # 7 rows is less than one parent's children at genus 3
-    monkeypatch.setattr(admissibility, "_BLOCK_ROWS", 7)
-    assert [run(*pair) for pair in pairs] == default
+    # 7 rows is less than one parent's children at genus 3; 21 rows make
+    # 3-row blocks at genus 2, which split the 8 generator rows of the
+    # first frontier 3/3/2
+    for block_rows in (7, 21):
+        monkeypatch.setattr(admissibility, "_BLOCK_ROWS", block_rows)
+        assert [run(*pair) for pair in pairs] == default, block_rows
 
 
 def test_scan_memory_is_bounded_by_the_block(fuchsian_g2):
-    # a g=2, L=7 scan covers 1.1 M words; blocked it peaks near 2 MB,
-    # while the whole last frontier of one leading letter (117,649 rows)
-    # would peak near 14 MB
+    # a g=2, L=7 scan covers 1.1 M words; blocked it peaks near 2.5 MB,
+    # while the rho and sigma products of the whole last frontier
+    # (941,192 rows) would take 60 MB
     sigma = reps.conjugate(fuchsian_g2, Moebius([[1.2, 0.1], [0.4, 1.0]]))
     tracemalloc.start()
     try:
@@ -266,16 +214,6 @@ def test_scan_memory_is_bounded_by_the_block(fuchsian_g2):
         tracemalloc.stop()
     assert est.words_scanned == reduced_word_count(2, 7)
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
-
-
-def test_combine_partials_is_shortlex_stable():
-    a = (1.0, Word((1, 2)), 10)
-    b = (1.0, Word((2,)), 12)
-    merged = combine_partials(a, b, 2)
-    assert merged == (1.0, Word((2,)), 22)
-    assert combine_partials(b, a, 2) == merged
-    better = (2.0, Word((4,)), 3)
-    assert combine_partials(a, better, 2)[:2] == (2.0, Word((4,)))
 
 
 def test_genus_mismatch_rejected(fuchsian_g2, fuchsian_g3):

@@ -110,6 +110,44 @@ def test_euler_bad_determinant_exits_two(tmp_path, capsys):
     assert "determinant" in err
 
 
+def _rep_bytes(bad_generator):
+    """A genus-2 file whose generator 2 is replaced by `bad_generator`."""
+    identity = [[1, 0], [0, 1]]
+    generators = [identity, identity, bad_generator, identity]
+    return json.dumps({"genus": 2, "generators": generators}).encode()
+
+
+@pytest.mark.parametrize(
+    "content, detail",
+    [
+        (_rep_bytes([[1, 0], [0]]), "generator 2"),
+        (_rep_bytes([[1, {"a": 1}], [0, 1]]), "generator 2"),
+        (_rep_bytes([["1", 0], [0, 1]]), "generator 2"),
+        (_rep_bytes([[True, 0], [0, 1]]), "generator 2"),
+        (_rep_bytes([[10**400, 0], [0, 1]]), "generator 2"),
+        (b'{"genus": 2, "generators": "\xff\xfe"}', "UTF-8"),
+        (b"[" * 100_000 + b"]" * 100_000, "invalid JSON"),
+    ],
+    ids=[
+        "ragged",
+        "object-entry",
+        "string-entry",
+        "bool-entry",
+        "huge-int",
+        "not-utf8",
+        "deep-nesting",
+    ],
+)
+def test_euler_malformed_file_exits_two(tmp_path, capsys, content, detail):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, out, err = run_cli(capsys, "euler", "--rep", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "input error" in err
+    assert detail in err
+
+
 def test_euler_integrality_failure_exits_four(tmp_path, capsys):
     bad = tmp_path / "far.json"
     save_representation(make_noncommuting_bad_rep(), bad)

@@ -1,0 +1,28 @@
+"""Smoke tests of the experiment scripts under scripts/: each runs
+through its main() on small arguments and prints something."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("lipschitz_growth", ["--genus", "2", "--max-depth", "2"]),
+        ("volume_census", ["--max-euler", "2", "--max-degree", "1"]),
+    ],
+)
+def test_script_runs(capsys, name, argv):
+    assert load_script(name).main(argv) == 0
+    assert capsys.readouterr().out.strip()
