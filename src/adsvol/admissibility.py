@@ -29,13 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DEFAULT_MAX_WORD_LENGTH
 from .errors import InputError
 from .reps import Representation, Word, euler_class
 
 MAX_WORDS_ENV = "ADSVOL_MAX_WORDS"
 DEFAULT_MAX_WORDS = 10**7
 
-DEFAULT_MAX_WORD_LENGTH = 6
 DEFAULT_DENOMINATOR_FLOOR = 1e-6
 
 VERDICT_REFUTED = "refuted"

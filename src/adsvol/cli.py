@@ -9,6 +9,9 @@ stderr.  Exit codes are a stable contract:
     2  input error (including unknown flags, via argparse)
     3  I/O error
     4  Euler-class integrality failure
+
+Each handler imports the layer it needs when it runs, so `volume` and
+`cs` never load the numpy-backed `reps` and `admissibility`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import argparse
 import json
 import sys
 
-from . import admissibility, invariants, reps, verify
+from . import DEFAULT_MAX_WORD_LENGTH
 from .errors import InputError, IntegralityError
 
 EXIT_OK = 0
@@ -59,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     lips.add_argument(
         "--max-word-len",
         type=int,
-        default=admissibility.DEFAULT_MAX_WORD_LENGTH,
+        default=DEFAULT_MAX_WORD_LENGTH,
         help="scan reduced words up to this length (default %(default)s)",
     )
 
@@ -76,6 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_rep(args) -> int:
+    from . import reps
+
     rep = reps.fuchsian_regular_polygon(args.genus)
     residual = reps.relator_residual(rep)
     euler, euler_residual = reps.euler_class(rep)
@@ -96,6 +101,8 @@ def run_rep(args) -> int:
 
 
 def run_euler(args) -> int:
+    from . import reps
+
     rep = reps.load_representation(args.rep)
     euler, residual = reps.euler_class(rep)
     _info(f"euler class {euler}, integrality residual {residual:.3e}")
@@ -104,6 +111,8 @@ def run_euler(args) -> int:
 
 
 def run_lipschitz(args) -> int:
+    from . import admissibility, reps
+
     rho = reps.load_representation(args.rho)
     sigma = reps.load_representation(args.sigma)
     report = admissibility.admissibility_report(
@@ -118,6 +127,8 @@ def run_lipschitz(args) -> int:
 
 
 def run_volume(args) -> int:
+    from . import invariants
+
     record = invariants.json_record(invariants.AdSDescriptor(args.e, args.f, args.k))
     _info(
         f"volume of (e={args.e}, f={args.f}, k={args.k}): "
@@ -128,6 +139,8 @@ def run_volume(args) -> int:
 
 
 def run_cs(args) -> int:
+    from . import invariants
+
     record = invariants.json_record(invariants.AdSDescriptor(args.e, args.f, args.k))
     _info(f"chern-simons of (e={args.e}, f={args.f}, k={args.k}): {record['cs']}")
     _emit(record)
@@ -135,6 +148,8 @@ def run_cs(args) -> int:
 
 
 def run_verify(_args) -> int:
+    from . import verify
+
     results = verify.run_checks()
     for result in results:
         status = "PASS" if result.passed else "FAIL"

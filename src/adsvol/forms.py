@@ -3,7 +3,8 @@
 A k-form stores one value per increasing index tuple over {1, 2, 3},
 the indices referring to the reference orthonormal frame (u1, u2, u3)
 of `liealg`.  Values are either endomorphisms (3x3 matrices over
-Fraction, acting on the Lie algebra in the basis (H, E, F)) or scalars.
+Fraction, acting on the Lie algebra in the basis (H, E, F), stored as
+nested tuples of rows) or scalars.
 Evaluation at arbitrary Lie-algebra vectors extends multilinearly and
 antisymmetrically, so everything stays exact.
 
@@ -25,12 +26,12 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import InputError
 from .liealg import (
     LieElement,
     REFERENCE_FRAME,
+    _mat_mul,
+    _trace_product,
     adjoint,
     as_fraction,
     bracket,
@@ -67,16 +68,32 @@ def _sort_sign(indices) -> tuple:
     return sign, tuple(sorted(idx))
 
 
-def _zero_matrix() -> np.ndarray:
-    return np.array([[Fraction(0)] * 3 for _ in range(3)], dtype=object)
+def _zero_matrix() -> tuple:
+    return ((Fraction(0),) * 3,) * 3
 
 
-def _matrices_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    return bool(np.equal(a, b).all())
+def _as_matrix(m) -> tuple:
+    """A 3x3 matrix of exact rationals as a tuple of row tuples."""
+    rows = tuple(tuple(as_fraction(v) for v in row) for row in m)
+    if len(rows) != 3 or any(len(row) != 3 for row in rows):
+        raise InputError("form values must be 3x3 matrices")
+    return rows
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a.dot(b) - b.dot(a)
+def _add(a, b) -> tuple:
+    return tuple(tuple(x + y for x, y in zip(p, q)) for p, q in zip(a, b))
+
+
+def _sub(a, b) -> tuple:
+    return tuple(tuple(x - y for x, y in zip(p, q)) for p, q in zip(a, b))
+
+
+def _scale(s, m) -> tuple:
+    return tuple(tuple(s * x for x in row) for row in m)
+
+
+def commutator(a, b) -> tuple:
+    return _sub(_mat_mul(a, b), _mat_mul(b, a))
 
 
 @dataclass(frozen=True)
@@ -95,15 +112,19 @@ class EndValuedForm:
                 f"degree-{self.degree} form must store exactly the index "
                 f"tuples {expected}"
             )
+        object.__setattr__(
+            self, "values", {k: _as_matrix(v) for k, v in self.values.items()}
+        )
 
-    def value_at(self, indices) -> np.ndarray:
+    def value_at(self, indices) -> tuple:
         """Value on an arbitrary frame-index tuple, by antisymmetry."""
         sign, key = _sort_sign(indices)
         if sign == 0:
             return _zero_matrix()
-        return sign * self.values[key]
+        value = self.values[key]
+        return value if sign == 1 else _scale(sign, value)
 
-    def evaluate(self, *vectors: LieElement) -> np.ndarray:
+    def evaluate(self, *vectors: LieElement) -> tuple:
         """Multilinear evaluation at Lie-algebra vectors."""
         if len(vectors) != self.degree:
             raise InputError(f"need {self.degree} vectors, got {len(vectors)}")
@@ -114,7 +135,7 @@ class EndValuedForm:
             for slot, i in enumerate(idx):
                 coeff *= coords[slot][i - 1]
             if coeff != 0:
-                total = total + coeff * self.value_at(idx)
+                total = _add(total, _scale(coeff, self.value_at(idx)))
         return total
 
     def __add__(self, other: "EndValuedForm") -> "EndValuedForm":
@@ -122,7 +143,7 @@ class EndValuedForm:
             raise InputError("cannot add forms of different degree")
         return EndValuedForm(
             self.degree,
-            {k: self.values[k] + other.values[k] for k in self.values},
+            {k: _add(self.values[k], other.values[k]) for k in self.values},
         )
 
     def __sub__(self, other: "EndValuedForm") -> "EndValuedForm":
@@ -130,15 +151,15 @@ class EndValuedForm:
 
     def __rmul__(self, scalar) -> "EndValuedForm":
         s = as_fraction(scalar)
-        return EndValuedForm(self.degree, {k: s * v for k, v in self.values.items()})
+        return EndValuedForm(self.degree, {k: _scale(s, v) for k, v in self.values.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EndValuedForm) or self.degree != other.degree:
             return NotImplemented
-        return all(_matrices_equal(self.values[k], other.values[k]) for k in self.values)
+        return self.values == other.values
 
     def is_zero(self) -> bool:
-        return all(_matrices_equal(v, _zero_matrix()) for v in self.values.values())
+        return all(v == _zero_matrix() for v in self.values.values())
 
 
 @dataclass(frozen=True)
@@ -196,8 +217,9 @@ def bracket_wedge(a: EndValuedForm, b: EndValuedForm) -> EndValuedForm:
         raise InputError("bracket_wedge is defined for 1-forms only")
     values = {}
     for i, j in _increasing_tuples(2):
-        values[(i, j)] = commutator(a.values[(i,)], b.values[(j,)]) - commutator(
-            a.values[(j,)], b.values[(i,)]
+        values[(i, j)] = _sub(
+            commutator(a.values[(i,)], b.values[(j,)]),
+            commutator(a.values[(j,)], b.values[(i,)]),
         )
     return EndValuedForm(2, values)
 
@@ -209,7 +231,7 @@ def invariant_d(a: EndValuedForm) -> EndValuedForm:
     values = {}
     for i, j in _increasing_tuples(2):
         br = bracket(REFERENCE_FRAME[i - 1], REFERENCE_FRAME[j - 1])
-        values[(i, j)] = (-1) * a.evaluate(br)
+        values[(i, j)] = _scale(-1, a.evaluate(br))
     return EndValuedForm(2, values)
 
 
@@ -250,8 +272,9 @@ def wedge_trace(a: EndValuedForm, r: EndValuedForm) -> ScalarForm:
     total = Fraction(0)
     for perm in itertools.permutations(_INDICES):
         sign, _ = _sort_sign(perm)
-        product = a.value_at((perm[0],)).dot(r.value_at((perm[1], perm[2])))
-        total += sign * product.trace()
+        total += sign * _trace_product(
+            a.value_at((perm[0],)), r.value_at((perm[1], perm[2]))
+        )
     return ScalarForm(3, {(1, 2, 3): Fraction(1, 6) * total})
 
 

@@ -149,7 +149,7 @@ class AdSDescriptor:
                 "descriptor has f = +-e; the admissible regime needs a "
                 "non-Fuchsian second factor (|f| < |e|)",
                 ConventionWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__ to the caller
             )
 
 

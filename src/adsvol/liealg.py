@@ -1,7 +1,8 @@
 """Exact model of the Lie algebra sl(2, R) in the ordered basis (H, E, F).
 
 Every coefficient in this module is a `fractions.Fraction`; no floating
-point enters any computation.  The basis matrices are
+point enters any computation.  Matrices (2x2 group elements, 3x3
+adjoint and Gram matrices) are nested tuples of rows.  The basis matrices are
 
     H = [[1, 0], [0, -1]],   E = [[0, 1], [0, 0]],   F = [[0, 0], [1, 0]],
 
@@ -34,8 +35,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import InputError
 
@@ -107,10 +106,10 @@ class LieElement:
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.coords)
 
-    def to_matrix(self) -> np.ndarray:
-        """The trace-free 2x2 matrix [[a, b], [c, -a]] over Fraction."""
+    def to_matrix(self) -> tuple:
+        """The trace-free 2x2 matrix ((a, b), (c, -a)) over Fraction."""
         a, b, c = self.coords
-        return np.array([[a, b], [c, -a]], dtype=object)
+        return ((a, b), (c, -a))
 
 
 H = LieElement.of(1, 0, 0)
@@ -135,17 +134,37 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
     return LieElement.of(b * f - c * e, 2 * (a * e - b * d), 2 * (c * d - a * f))
 
 
-def adjoint(x: LieElement) -> np.ndarray:
+def adjoint(x: LieElement) -> tuple:
     """Matrix of ad_x = [x, .] in the basis (H, E, F), entries Fraction."""
     a, b, c = x.coords
-    return np.array(
-        [
-            [0, -c, b],
-            [-2 * b, 2 * a, 0],
-            [2 * c, 0, -2 * a],
-        ],
-        dtype=object,
-    ) * Fraction(1)
+    zero = Fraction(0)
+    return (
+        (zero, -c, b),
+        (-2 * b, 2 * a, zero),
+        (2 * c, zero, -2 * a),
+    )
+
+
+def _dot(u, v) -> Fraction:
+    """Sum of the products u[k] v[k], skipping zero factors: an adjoint
+    matrix is a third zeros, and a Fraction product costs as much when a
+    factor is 0."""
+    total = Fraction(0)
+    for a, b in zip(u, v):
+        if a and b:
+            total += a * b
+    return total
+
+
+def _mat_mul(x, y) -> tuple:
+    """Product of two square matrices given as tuples of rows."""
+    cols = tuple(zip(*y))
+    return tuple(tuple(_dot(row, col) for col in cols) for row in x)
+
+
+def _trace_product(x, y) -> Fraction:
+    """tr(xy) of two square matrices: the diagonal of the product, summed."""
+    return sum((_dot(row, col) for row, col in zip(x, zip(*y))), Fraction(0))
 
 
 def trace2(x: LieElement, y: LieElement) -> Fraction:
@@ -157,7 +176,7 @@ def trace2(x: LieElement, y: LieElement) -> Fraction:
 
 def killing(x: LieElement, y: LieElement) -> Fraction:
     """Killing form tr(ad_x ad_y); equals 4 * trace2 on sl(2, R)."""
-    return adjoint(x).dot(adjoint(y)).trace()
+    return _trace_product(adjoint(x), adjoint(y))
 
 
 def metric(x: LieElement, y: LieElement, normalization: Fraction | None = None) -> Fraction:
@@ -206,19 +225,16 @@ def volume_form(x: LieElement, y: LieElement, z: LieElement, orientation: int = 
     return orientation * det3([metric_coords(v) for v in (x, y, z)])
 
 
-def gram_matrix(normalization: Fraction | None = None) -> np.ndarray:
+def gram_matrix(normalization: Fraction | None = None) -> tuple:
     """Metric Gram matrix on the ordered basis (H, E, F)."""
-    return np.array(
-        [[metric(a, b, normalization) for b in BASIS] for a in BASIS],
-        dtype=object,
-    )
+    return tuple(tuple(metric(a, b, normalization) for b in BASIS) for a in BASIS)
 
 
 def rational_signature(sym) -> tuple:
     """Signature (positives, negatives, zeros) of a symmetric matrix of
     Fractions, by exact congruence diagonalisation (simultaneous row and
     column elimination); no floating point, no eigenvalues."""
-    m = [[as_fraction(v) for v in row] for row in np.asarray(sym, dtype=object)]
+    m = [[as_fraction(v) for v in row] for row in sym]
     n = len(m)
     for i in range(n):
         if m[i][i] == 0:
@@ -255,7 +271,7 @@ def rational_signature(sym) -> tuple:
 class MetricTensor:
     """The calibrated metric as a Gram matrix on (H, E, F)."""
 
-    gram: np.ndarray
+    gram: tuple
     normalization: Fraction
 
     @classmethod
@@ -314,25 +330,24 @@ class OrientedFrame:
         return cls(tuple(adjoint_action(g, u) for u in REFERENCE_FRAME))
 
 
-def random_rational_sl2(rng) -> np.ndarray:
+def random_rational_sl2(rng) -> tuple:
     """Random product of rational shear matrices; determinant exactly 1."""
-    g = np.array([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]], dtype=object)
+    one, zero = Fraction(1), Fraction(0)
+    g = ((one, zero), (zero, one))
     for turn in range(rng.randint(2, 4)):
         t = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         if turn % 2 == 0:
-            shear = np.array([[1, t], [0, 1]], dtype=object)
+            shear = ((one, t), (zero, one))
         else:
-            shear = np.array([[1, 0], [t, 1]], dtype=object)
-        g = g.dot(shear)
+            shear = ((one, zero), (t, one))
+        g = _mat_mul(g, shear)
     return g
 
 
-def adjoint_action(g: np.ndarray, x: LieElement) -> LieElement:
+def adjoint_action(g, x: LieElement) -> LieElement:
     """Ad_g(x) = g X g^-1 for g a rational 2x2 matrix of determinant 1."""
-    a, b = g[0]
-    c, d = g[1]
+    (a, b), (c, d) = g
     if a * d - b * c != 1:
         raise InputError("adjoint_action needs determinant exactly 1")
-    ginv = np.array([[d, -b], [-c, a]], dtype=object)
-    m = g.dot(x.to_matrix()).dot(ginv)
+    m = _mat_mul(_mat_mul(g, x.to_matrix()), ((d, -b), (-c, a)))
     return LieElement.of(m[0][0], m[0][1], m[1][0])

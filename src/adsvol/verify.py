@@ -48,7 +48,7 @@ def check_jacobi(rng) -> tuple:
             return False, "bracket is not antisymmetric"
         ad_bracket = liealg.adjoint(liealg.bracket(x, y))
         ad_comm = forms.commutator(liealg.adjoint(x), liealg.adjoint(y))
-        if not bool((ad_bracket == ad_comm).all()):
+        if ad_bracket != ad_comm:
             return False, "adjoint is not a Lie-algebra homomorphism"
         if liealg.killing(x, y) != 4 * liealg.trace2(x, y):
             return False, "Killing form is not 4 * trace form"

@@ -20,6 +20,18 @@ MAT_F = np.array([[Fraction(0), Fraction(0)], [Fraction(1), Fraction(0)]], dtype
 MATS = (MAT_H, MAT_E, MAT_F)
 
 
+def as_array(m):
+    """A library matrix (nested tuples) as an object array, so oracle
+    arithmetic can run on it with numpy."""
+    return np.array(m, dtype=object)
+
+
+def as_rows(m):
+    """An oracle matrix as nested tuples of Fraction, comparable with
+    `==` to a library matrix entry by entry."""
+    return tuple(tuple(Fraction(v) for v in row) for row in m)
+
+
 def mat2(coords):
     """Coordinates (a, b, c) -> the trace-free matrix a*H + b*E + c*F."""
     a, b, c = (Fraction(v) for v in coords)

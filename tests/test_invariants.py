@@ -75,6 +75,15 @@ def test_descriptor_warns_on_fuchsian_pair():
         AdSDescriptor(2, 1, 5)  # |f| < |e| is the admissible regime
 
 
+def test_convention_warning_names_the_caller():
+    # the warning must point at the line that built the descriptor, not
+    # into the dataclass-generated __init__
+    with pytest.warns(ConventionWarning) as record:
+        AdSDescriptor(1, 1, 1)
+    assert len(record) == 1
+    assert record[0].filename == __file__
+
+
 # --------------------------------------------------------------- volume
 
 

@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    as_array,
+    as_rows,
     hyperbolic_distance,
     mat2,
     moebius_apply,
@@ -60,17 +62,13 @@ elements = st.builds(LieElement.of, rationals, rationals, rationals)
 scalars = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
-def same_matrix(a, b):
-    return (np.asarray(a) == np.asarray(b)).all()
-
-
 # ---------------------------------------------------------------- basics
 
 
 def test_basis_matrices():
-    assert same_matrix(H.to_matrix(), mat2((1, 0, 0)))
-    assert same_matrix(E.to_matrix(), mat2((0, 1, 0)))
-    assert same_matrix(F.to_matrix(), mat2((0, 0, 1)))
+    assert H.to_matrix() == as_rows(mat2((1, 0, 0)))
+    assert E.to_matrix() == as_rows(mat2((0, 1, 0)))
+    assert F.to_matrix() == as_rows(mat2((0, 0, 1)))
 
 
 def test_as_fraction_accepts_exact_types_only():
@@ -134,36 +132,38 @@ def test_jacobi_identity(x, y, z):
 
 
 def test_adjoint_worked_matrices():
-    assert same_matrix(
-        adjoint(H),
-        np.array([[0, 0, 0], [0, 2, 0], [0, 0, -2]], dtype=object),
-    )
-    assert same_matrix(
-        adjoint(E),
-        np.array([[0, 0, 1], [-2, 0, 0], [0, 0, 0]], dtype=object),
-    )
-    assert same_matrix(
-        adjoint(F),
-        np.array([[0, -1, 0], [0, 0, 0], [2, 0, 0]], dtype=object),
-    )
+    assert adjoint(H) == ((0, 0, 0), (0, 2, 0), (0, 0, -2))
+    assert adjoint(E) == ((0, 0, 1), (-2, 0, 0), (0, 0, 0))
+    assert adjoint(F) == ((0, -1, 0), (0, 0, 0), (2, 0, 0))
 
 
 @given(elements)
 def test_adjoint_matches_oracle(x):
-    assert same_matrix(adjoint(x), oracle_ad(x.coords))
+    assert adjoint(x) == as_rows(oracle_ad(x.coords))
+
+
+@given(elements)
+def test_exact_values_are_nested_fraction_tuples(x):
+    # the exact layers hold no floats and no arrays: every matrix is a
+    # tuple of row tuples of Fractions
+    for m in (adjoint(x), x.to_matrix(), gram_matrix()):
+        assert type(m) is tuple
+        assert all(type(row) is tuple for row in m)
+        assert all(type(v) is Fraction for row in m for v in row)
 
 
 @given(elements, elements)
 def test_adjoint_applies_bracket(x, y):
-    image = adjoint(x) @ np.array(y.coords, dtype=object)
+    image = as_array(adjoint(x)) @ np.array(y.coords, dtype=object)
     assert tuple(image) == bracket(x, y).coords
 
 
 @given(elements, elements)
 def test_adjoint_is_homomorphism(x, y):
     lhs = adjoint(bracket(x, y))
-    rhs = adjoint(x) @ adjoint(y) - adjoint(y) @ adjoint(x)
-    assert same_matrix(lhs, rhs)
+    ad_x, ad_y = as_array(adjoint(x)), as_array(adjoint(y))
+    rhs = ad_x @ ad_y - ad_y @ ad_x
+    assert lhs == as_rows(rhs)
 
 
 # ---------------------------------------------------------- killing form
@@ -211,19 +211,19 @@ def test_metric_worked_values():
 
 def test_metric_gram_matrices():
     # in the H, E, F basis the metric is 2 * trace form
-    expected = np.array(
-        [[Fraction(4), Fraction(0), Fraction(0)],
-         [Fraction(0), Fraction(0), Fraction(2)],
-         [Fraction(0), Fraction(2), Fraction(0)]],
-        dtype=object,
+    expected = (
+        (Fraction(4), Fraction(0), Fraction(0)),
+        (Fraction(0), Fraction(0), Fraction(2)),
+        (Fraction(0), Fraction(2), Fraction(0)),
     )
-    assert same_matrix(gram_matrix(), expected)
+    assert gram_matrix() == expected
     # on the reference frame it is diag(+1, +1, -1)
     frame_gram = [[metric(u, v) for v in REFERENCE_FRAME] for u in REFERENCE_FRAME]
-    assert same_matrix(
-        np.array(frame_gram, dtype=object),
-        np.diag([Fraction(1), Fraction(1), Fraction(-1)]).astype(object),
-    )
+    assert frame_gram == [
+        [Fraction(1), Fraction(0), Fraction(0)],
+        [Fraction(0), Fraction(1), Fraction(0)],
+        [Fraction(0), Fraction(0), Fraction(-1)],
+    ]
 
 
 def test_metric_normalization_matches_geodesic_speed():
@@ -251,14 +251,13 @@ def test_signature_is_two_one():
 
 def test_rational_signature_handles_degenerate_and_offdiag():
     assert rational_signature(
-        np.array(
-            [[Fraction(0), Fraction(1), Fraction(0)],
-             [Fraction(1), Fraction(0), Fraction(0)],
-             [Fraction(0), Fraction(0), Fraction(0)]],
-            dtype=object,
+        (
+            (Fraction(0), Fraction(1), Fraction(0)),
+            (Fraction(1), Fraction(0), Fraction(0)),
+            (Fraction(0), Fraction(0), Fraction(0)),
         )
     ) == (1, 1, 1)
-    zero = np.full((3, 3), Fraction(0), dtype=object)
+    zero = ((Fraction(0),) * 3,) * 3
     assert rational_signature(zero) == (0, 0, 3)
 
 
@@ -357,18 +356,18 @@ def test_random_frames_are_orthonormal_and_positive(rng):
 def test_random_rational_sl2_has_unit_det(rng):
     for _ in range(50):
         g = random_rational_sl2(rng)
-        assert g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0] == 1
+        assert g[0][0] * g[1][1] - g[0][1] * g[1][0] == 1
 
 
 def test_adjoint_action_worked():
-    shear = np.array([[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]], dtype=object)
+    shear = ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1)))
     assert adjoint_action(shear, E) == E
     assert adjoint_action(shear, H) == H - 2 * E
     assert adjoint_action(shear, F) == F + H - E
 
 
 def test_adjoint_action_requires_unit_det():
-    g = np.array([[Fraction(2), Fraction(0)], [Fraction(0), Fraction(1)]], dtype=object)
+    g = ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(1)))
     with pytest.raises(InputError):
         adjoint_action(g, H)
 

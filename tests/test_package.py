@@ -1,0 +1,99 @@
+"""Package namespace: lazy re-exports and which layers load numpy.
+
+`import adsvol` resolves its re-exports and submodules on first access,
+so the exact layers (liealg, forms, invariants) and the CLI's `volume`
+and `cs` commands run without numpy.  Import effects are checked in a
+fresh interpreter, because this test session has already imported every
+layer.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import adsvol
+
+#: The names `adsvol/__init__` re-exported when it imported every layer
+#: eagerly; each must keep resolving from the package.
+EXPORTS = (
+    "AdmissibilityReport", "LipschitzEstimate", "admissibility_report",
+    "lipschitz_lower_bound", "ConventionWarning", "InputError",
+    "IntegralityError", "ConnectionPath", "EndValuedForm", "ScalarForm",
+    "bracket_wedge", "canonical_maurer_cartan", "cs_density", "curvature_at",
+    "invariant_d", "maurer_cartan_residual", "path_integral_coefficient",
+    "wedge_trace", "AdSDescriptor", "CsValue", "PiSquaredScalar",
+    "VolumeResult", "chasles", "cs_pair", "cs_rho_id", "cs_scale",
+    "geometry_calibration", "unit_tangent_volume", "vol_from_cs", "volume",
+    "LieElement", "MetricTensor", "OrientedFrame", "adjoint", "bracket",
+    "killing", "metric", "omega", "volume_form", "Moebius", "Representation",
+    "SurfaceGroup", "Word", "elem_type", "euler_class", "evaluate",
+    "fuchsian_regular_polygon", "load_representation", "relator_residual",
+    "save_representation", "translation_length", "trivial_representation",
+)
+
+
+def run_fresh(code):
+    """Run `code` in a new interpreter that imports this adsvol; return
+    its stdout lines."""
+    src = os.path.dirname(os.path.dirname(adsvol.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=False, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+NUMPY_FREE = {
+    "bare import": "import adsvol",
+    "exact layers": "import adsvol.liealg, adsvol.forms, adsvol.invariants",
+    "volume": "from adsvol import cli; cli.main(['volume', '--e', '-2', '--f', '0', '--k', '-2'])",
+    "cs": "from adsvol import cli; cli.main(['cs', '--e', '-4', '--f', '2', '--k', '3'])",
+    "volume k=0": "from adsvol import cli; cli.main(['volume', '--e', '1', '--f', '0', '--k', '0'])",
+}
+
+
+def numpy_loaded_after(code):
+    lines = run_fresh(code + "\nimport sys\nprint('numpy' in sys.modules)")
+    return lines[-1]
+
+
+@pytest.mark.parametrize("code", NUMPY_FREE.values(), ids=NUMPY_FREE.keys())
+def test_exact_paths_leave_numpy_unloaded(code):
+    assert numpy_loaded_after(code) == "False"
+
+
+def test_float_layers_load_numpy():
+    # the probe can see numpy when a float layer is imported
+    assert numpy_loaded_after("import adsvol.reps") == "True"
+
+
+def test_reexports_resolve():
+    namespace = dir(adsvol)
+    for name in EXPORTS:
+        value = getattr(adsvol, name)
+        scope = {}
+        exec(f"from adsvol import {name}", scope)
+        assert scope[name] is value
+        assert name in namespace
+
+
+def test_bare_import_resolves_float_submodules():
+    lines = run_fresh(
+        "import adsvol\n"
+        "print(adsvol.reps.__name__, adsvol.admissibility.__name__)\n"
+        "print(adsvol.euler_class is adsvol.reps.euler_class)"
+    )
+    assert lines == ["adsvol.reps adsvol.admissibility", "True"]
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError):
+        adsvol.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from adsvol import no_such_name", {})
+    assert not hasattr(adsvol, "numpy")
