@@ -6,7 +6,9 @@ of `liealg`.  Values are either endomorphisms (3x3 matrices over
 Fraction, acting on the Lie algebra in the basis (H, E, F), stored as
 nested tuples of rows) or scalars.
 Evaluation at arbitrary Lie-algebra vectors extends multilinearly and
-antisymmetrically, so everything stays exact.
+antisymmetrically, so everything stays exact: the value at (x_1, ..., x_k)
+is the sum over the stored tuples I of the k x k minor of the frame
+coordinates of the x_s on the columns I, times the value on I.
 
 The canonical connection-difference form is A(x) = ad_x.  Its exterior
 derivative on invariant forms is dA(x, y) = -A([x, y]), and the
@@ -23,6 +25,7 @@ this module to the rational volume bookkeeping in `invariants`.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -51,21 +54,17 @@ def _sort_sign(indices) -> tuple:
     idx = tuple(indices)
     if len(set(idx)) != len(idx):
         return 0, idx
-    perm = sorted(range(len(idx)), key=lambda i: idx[i])
-    sign = 1
-    seen = [False] * len(idx)
-    for start in range(len(idx)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign, tuple(sorted(idx))
+    inversions = sum(a > b for a, b in itertools.combinations(idx, 2))
+    return (-1) ** inversions, tuple(sorted(idx))
+
+
+# The Leibniz terms of a minor on the columns I: every ordering of I with
+# its sign, for each increasing index tuple I.
+_SIGNED_ORDERINGS = {
+    key: tuple((_sort_sign(perm)[0], perm) for perm in itertools.permutations(key))
+    for degree in range(4)
+    for key in _increasing_tuples(degree)
+}
 
 
 def _zero_matrix() -> tuple:
@@ -97,8 +96,13 @@ def commutator(a, b) -> tuple:
 
 
 @dataclass(frozen=True)
-class EndValuedForm:
-    """Alternating form with endomorphism (3x3 Fraction matrix) values."""
+class _AlternatingForm:
+    """Alternating k-form, one value per increasing index tuple.
+
+    Subclasses fix the value algebra through the class attributes
+    `_zero`, `_coerce` (validates and converts one value), `_add` and
+    `_scale` (scalar times value).
+    """
 
     degree: int
     values: dict
@@ -113,95 +117,78 @@ class EndValuedForm:
                 f"tuples {expected}"
             )
         object.__setattr__(
-            self, "values", {k: _as_matrix(v) for k, v in self.values.items()}
+            self, "values", {k: self._coerce(v) for k, v in self.values.items()}
         )
 
-    def value_at(self, indices) -> tuple:
+    def value_at(self, indices):
         """Value on an arbitrary frame-index tuple, by antisymmetry."""
         sign, key = _sort_sign(indices)
         if sign == 0:
-            return _zero_matrix()
+            return self._zero
         value = self.values[key]
-        return value if sign == 1 else _scale(sign, value)
+        return value if sign == 1 else self._scale(sign, value)
 
-    def evaluate(self, *vectors: LieElement) -> tuple:
-        """Multilinear evaluation at Lie-algebra vectors."""
+    def evaluate(self, *vectors: LieElement):
+        """Multilinear evaluation at Lie-algebra vectors: the sum over the
+        stored tuples I of the I-minor of the frame coordinates times the
+        value on I."""
         if len(vectors) != self.degree:
             raise InputError(f"need {self.degree} vectors, got {len(vectors)}")
         coords = [frame_coords(v) for v in vectors]
-        total = _zero_matrix()
-        for idx in itertools.product(_INDICES, repeat=self.degree):
-            coeff = Fraction(1)
-            for slot, i in enumerate(idx):
-                coeff *= coords[slot][i - 1]
-            if coeff != 0:
-                total = _add(total, _scale(coeff, self.value_at(idx)))
+        total = self._zero
+        for key, value in self.values.items():
+            minor = 0
+            for sign, perm in _SIGNED_ORDERINGS[key]:
+                term = sign
+                for c, i in zip(coords, perm):
+                    term *= c[i - 1]
+                minor += term
+            if minor != 0:
+                total = self._add(total, self._scale(minor, value))
         return total
 
-    def __add__(self, other: "EndValuedForm") -> "EndValuedForm":
+    def __add__(self, other):
         if self.degree != other.degree:
             raise InputError("cannot add forms of different degree")
-        return EndValuedForm(
+        return type(self)(
             self.degree,
-            {k: _add(self.values[k], other.values[k]) for k in self.values},
+            {k: self._add(self.values[k], other.values[k]) for k in self.values},
         )
 
-    def __sub__(self, other: "EndValuedForm") -> "EndValuedForm":
+    def __sub__(self, other):
         return self + (-1) * other
 
-    def __rmul__(self, scalar) -> "EndValuedForm":
+    def __rmul__(self, scalar):
         s = as_fraction(scalar)
-        return EndValuedForm(self.degree, {k: _scale(s, v) for k, v in self.values.items()})
+        return type(self)(
+            self.degree, {k: self._scale(s, v) for k, v in self.values.items()}
+        )
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, EndValuedForm) or self.degree != other.degree:
+        if not isinstance(other, type(self)) or self.degree != other.degree:
             return NotImplemented
         return self.values == other.values
 
     def is_zero(self) -> bool:
-        return all(v == _zero_matrix() for v in self.values.values())
+        return all(v == self._zero for v in self.values.values())
 
 
-@dataclass(frozen=True)
-class ScalarForm:
+class EndValuedForm(_AlternatingForm):
+    """Alternating form with endomorphism (3x3 Fraction matrix) values."""
+
+    _zero = _zero_matrix()
+    _coerce = staticmethod(_as_matrix)
+    _add = staticmethod(_add)
+    _scale = staticmethod(_scale)
+
+
+class ScalarForm(_AlternatingForm):
     """Alternating form with exact rational values."""
 
-    degree: int
-    values: dict
-
-    def __post_init__(self):
-        if self.degree not in (0, 1, 2, 3):
-            raise InputError("degree must be 0..3")
-        expected = _increasing_tuples(self.degree)
-        if set(self.values) != set(expected):
-            raise InputError(
-                f"degree-{self.degree} form must store exactly the index "
-                f"tuples {expected}"
-            )
-        object.__setattr__(
-            self,
-            "values",
-            {k: as_fraction(v) for k, v in self.values.items()},
-        )
-
-    def value_at(self, indices) -> Fraction:
-        sign, key = _sort_sign(indices)
-        if sign == 0:
-            return Fraction(0)
-        return sign * self.values[key]
-
-    def evaluate(self, *vectors: LieElement) -> Fraction:
-        if len(vectors) != self.degree:
-            raise InputError(f"need {self.degree} vectors, got {len(vectors)}")
-        coords = [frame_coords(v) for v in vectors]
-        total = Fraction(0)
-        for idx in itertools.product(_INDICES, repeat=self.degree):
-            coeff = Fraction(1)
-            for slot, i in enumerate(idx):
-                coeff *= coords[slot][i - 1]
-            if coeff != 0:
-                total += coeff * self.value_at(idx)
-        return total
+    _zero = Fraction(0)
+    _coerce = staticmethod(as_fraction)
+    _add = staticmethod(operator.add)
+    _scale = staticmethod(operator.mul)
 
 
 def canonical_maurer_cartan() -> EndValuedForm:
@@ -270,8 +257,7 @@ def wedge_trace(a: EndValuedForm, r: EndValuedForm) -> ScalarForm:
     if a.degree != 1 or r.degree != 2:
         raise InputError("wedge_trace expects a 1-form and a 2-form")
     total = Fraction(0)
-    for perm in itertools.permutations(_INDICES):
-        sign, _ = _sort_sign(perm)
+    for sign, perm in _SIGNED_ORDERINGS[_INDICES]:
         total += sign * _trace_product(
             a.value_at((perm[0],)), r.value_at((perm[1], perm[2]))
         )

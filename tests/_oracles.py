@@ -8,7 +8,7 @@ test is never trusted to check itself.  Keep these slow and obvious.
 import cmath
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
@@ -90,6 +90,23 @@ def oracle_wedge_trace(one_form_vals, two_form_vals, triple):
         tr = prod[0, 0] + prod[1, 1] + prod[2, 2]
         total += perm_sign(perm) * tr
     return total / 6
+
+
+def oracle_form_evaluate(values, coords):
+    """A scalar alternating form stored on increasing index tuples over
+    {1, 2, 3}, at vectors given by their frame coordinates: the full
+    multilinear expansion over all 3^k index tuples, each term reading
+    the stored value of its sorted tuple with the permutation sign, and
+    nothing on a tuple with a repeat."""
+    total = Fraction(0)
+    for idx in product((1, 2, 3), repeat=len(coords)):
+        if len(set(idx)) < len(idx):
+            continue
+        coeff = Fraction(perm_sign(idx))
+        for vec, i in zip(coords, idx):
+            coeff *= vec[i - 1]
+        total += coeff * values[tuple(sorted(idx))]
+    return total
 
 
 def simpson_unit(f):

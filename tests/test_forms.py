@@ -1,9 +1,10 @@
 """Invariant-forms engine: flatness, curvature path, density constants."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from _oracles import (
@@ -11,6 +12,7 @@ from _oracles import (
     as_rows,
     oracle_ad,
     oracle_bracket,
+    oracle_form_evaluate,
     oracle_wedge_trace,
     simpson_unit,
 )
@@ -19,6 +21,7 @@ from adsvol.errors import InputError
 from adsvol.forms import (
     ConnectionPath,
     EndValuedForm,
+    ScalarForm,
     bracket_wedge,
     canonical_maurer_cartan,
     commutator,
@@ -40,8 +43,17 @@ from adsvol.liealg import (
     bracket,
 )
 
-rationals = st.fractions(min_value=-6, max_value=6, max_denominator=8)
+# The rationals in [-6, 6] with denominator at most 8, drawn as p/q:
+# the support of st.fractions(-6, 6, max_denominator=8) at a fraction of
+# its drawing cost.
+rationals = st.integers(1, 8).flatmap(
+    lambda q: st.integers(-6 * q, 6 * q).map(lambda p: Fraction(p, q))
+)
 elements = st.builds(LieElement.of, rationals, rationals, rationals)
+# Zero, both endpoints and the largest denominator, pinned by @example.
+ZERO = LieElement.of(0, 0, 0)
+LOW = LieElement.of(-6, 6, Fraction(-47, 8))
+HIGH = LieElement.of(Fraction(1, 8), 6, -6)
 
 
 def rand_matrix(rng):
@@ -69,6 +81,9 @@ def test_canonical_form_values_are_adjoints():
 
 
 @given(elements)
+@example(ZERO)
+@example(LOW)
+@example(HIGH)
 def test_canonical_form_reproduces_adjoint(x):
     a = canonical_maurer_cartan()
     assert a.evaluate(x) == adjoint(x)
@@ -82,12 +97,99 @@ def test_form_antisymmetry_in_arguments():
 
 
 @given(elements, elements, st.fractions(min_value=-4, max_value=4, max_denominator=5))
+@example(ZERO, LOW, Fraction(-4))
+@example(LOW, HIGH, Fraction(4))
+@example(HIGH, ZERO, Fraction(1, 5))
 def test_two_form_is_bilinear(x, y, t):
     a = canonical_maurer_cartan()
     two = bracket_wedge(a, a)
     lhs = two.evaluate(x + t * y, U2)
     rhs = as_array(two.evaluate(x, U2)) + as_array((t * two).evaluate(y, U2))
     assert lhs == as_rows(rhs)
+
+
+def from_frame_coords(c):
+    return c[0] * U1 + c[1] * U2 + c[2] * U3
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_evaluate_matches_multilinear_expansion(rng, degree):
+    keys = list(combinations((1, 2, 3), degree))
+
+    def rand_fraction():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+    for _ in range(5):
+        scalars = {k: rand_fraction() for k in keys}
+        matrices = {k: rand_matrix(rng) for k in keys}
+        vecs = [tuple(rand_fraction() for _ in range(3)) for _ in range(degree)]
+        # the last vector replaced by a rational combination of the
+        # others (the zero vector in degree 1), then by a repeat
+        weights = [rand_fraction() for _ in vecs[:-1]]
+        dependent = tuple(
+            sum((w * v[i] for w, v in zip(weights, vecs)), Fraction(0))
+            for i in range(3)
+        )
+        cases = [(vecs, False)]
+        if degree >= 1:
+            cases.append((vecs[:-1] + [dependent], True))
+        if degree >= 2:
+            cases.append((vecs[:-1] + [vecs[0]], True))
+        for coords, degenerate in cases:
+            xs = [from_frame_coords(c) for c in coords]
+            got = ScalarForm(degree, scalars).evaluate(*xs)
+            assert got == oracle_form_evaluate(scalars, coords)
+            got_end = EndValuedForm(degree, matrices).evaluate(*xs)
+            assert got_end == tuple(
+                tuple(
+                    oracle_form_evaluate({k: m[r][c] for k, m in matrices.items()}, coords)
+                    for c in range(3)
+                )
+                for r in range(3)
+            )
+            if degenerate:
+                assert got == 0
+                assert got_end == forms._zero_matrix()
+
+
+@pytest.mark.parametrize(
+    "cls, good, bad_values",
+    [
+        (
+            EndValuedForm,
+            adjoint(U1),
+            [
+                ((0.5, 0, 0), (0, 0, 0), (0, 0, 0)),
+                ((1, 0), (0, 1)),
+                ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)),
+                ((1, 0, 0), (0, 1), (0, 0, 1)),
+            ],
+        ),
+        (ScalarForm, Fraction(1, 3), [0.5]),
+    ],
+)
+def test_form_constructors_reject_malformed_input(cls, good, bad_values):
+    # no increasing 4-tuple exists, so only the degree check refuses this
+    with pytest.raises(InputError):
+        cls(4, {})
+    with pytest.raises(InputError):
+        cls(2, {(1, 2): good, (1, 3): good})
+    with pytest.raises(InputError):
+        cls(1, {(1,): good, (2,): good, (3,): good, (1, 2): good})
+    for bad in bad_values:
+        with pytest.raises(InputError):
+            cls(0, {(): bad})
+    form = cls(2, {(1, 2): good, (1, 3): good, (2, 3): good})
+    for vectors in ((U1,), (U1, U2, U3)):
+        with pytest.raises(InputError):
+            form.evaluate(*vectors)
+
+
+def test_scalar_form_arithmetic():
+    s = ScalarForm(3, {(1, 2, 3): Fraction(-5, 7)})
+    assert 2 * s == s + s
+    assert (s - s).is_zero()
+    assert not s.is_zero()
 
 
 # -------------------------------------------------- wedge and derivative
