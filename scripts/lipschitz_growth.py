@@ -24,11 +24,15 @@ from adsvol import admissibility, reps
 
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--genus", type=int, default=2)
+    parser.add_argument("--genus", type=int, default=2,
+                        help="surface genus >= 2, default 2")
     parser.add_argument("--max-depth", type=int, default=5,
                         help="largest reduced-word length to scan, default 5")
     parser.add_argument("--seed", type=int, default=0)
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if args.genus < 2:
+        parser.error("--genus must be at least 2")
+    return args
 
 
 def main(argv=None) -> int:

@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 
 from adsvol import invariants
+from adsvol.errors import InputError
 
 
 def parse_args(argv=None):
@@ -24,8 +25,11 @@ def parse_args(argv=None):
     parser.add_argument("--max-degree", type=int, default=3,
                         help="bound on |k|, k != 0, default 3")
     parser.add_argument("--genus", type=int, default=None,
-                        help="optional genus; enforces the Milnor-Wood bound")
-    return parser.parse_args(argv)
+                        help="optional genus >= 2; enforces the Milnor-Wood bound")
+    args = parser.parse_args(argv)
+    if args.genus is not None and args.genus < 2:
+        parser.error("--genus must be at least 2")
+    return args
 
 
 def census(max_euler, max_degree, genus):
@@ -38,7 +42,7 @@ def census(max_euler, max_degree, genus):
                     continue
                 try:
                     yield invariants.AdSDescriptor(e, f, k, genus)
-                except Exception:
+                except InputError:  # outside the Milnor-Wood bound
                     continue
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
@@ -73,7 +73,10 @@ def _zero_matrix() -> tuple:
 
 def _as_matrix(m) -> tuple:
     """A 3x3 matrix of exact rationals as a tuple of row tuples."""
-    rows = tuple(tuple(as_fraction(v) for v in row) for row in m)
+    try:
+        rows = tuple(tuple(as_fraction(v) for v in row) for row in m)
+    except TypeError:  # the value or one of its rows is not iterable
+        rows = ()
     if len(rows) != 3 or any(len(row) != 3 for row in rows):
         raise InputError("form values must be 3x3 matrices")
     return rows
@@ -121,8 +124,10 @@ class _AlternatingForm:
         )
 
     def value_at(self, indices):
-        """Value on an arbitrary frame-index tuple, by antisymmetry."""
+        """Value on any tuple of `degree` frame indices, by antisymmetry."""
         sign, key = _sort_sign(indices)
+        if len(key) != self.degree or not set(key) <= set(_INDICES):
+            raise InputError(f"need {self.degree} frame indices in 1..3, got {key}")
         if sign == 0:
             return self._zero
         value = self.values[key]
@@ -148,8 +153,8 @@ class _AlternatingForm:
         return total
 
     def __add__(self, other):
-        if self.degree != other.degree:
-            raise InputError("cannot add forms of different degree")
+        if type(other) is not type(self) or self.degree != other.degree:
+            raise InputError("can only add forms of the same class and degree")
         return type(self)(
             self.degree,
             {k: self._add(self.values[k], other.values[k]) for k in self.values},
@@ -230,10 +235,9 @@ def maurer_cartan_residual(a: EndValuedForm) -> EndValuedForm:
 
 @dataclass(frozen=True)
 class ConnectionPath:
-    """Point t on the affine path of connections with difference t * base."""
+    """Point t on the affine path of connections with difference t * A."""
 
     t: Fraction
-    base: EndValuedForm = field(default_factory=canonical_maurer_cartan)
 
     def __post_init__(self):
         object.__setattr__(self, "t", as_fraction(self.t))
@@ -242,8 +246,8 @@ class ConnectionPath:
 
 
 def curvature_at(path: ConnectionPath) -> EndValuedForm:
-    """Curvature t * da + (t^2/2) [a ^ a] at a point of the affine path."""
-    a = path.base
+    """Curvature t * dA + (t^2/2) [A ^ A] at a point of the affine path."""
+    a = canonical_maurer_cartan()
     t = path.t
     return t * invariant_d(a) + (t * t / 2) * bracket_wedge(a, a)
 

@@ -179,10 +179,9 @@ def killing(x: LieElement, y: LieElement) -> Fraction:
     return _trace_product(adjoint(x), adjoint(y))
 
 
-def metric(x: LieElement, y: LieElement, normalization: Fraction | None = None) -> Fraction:
-    """Calibrated bi-invariant metric <x, y> = normalization * tr(XY)."""
-    lam = METRIC_NORMALIZATION if normalization is None else as_fraction(normalization)
-    return lam * trace2(x, y)
+def metric(x: LieElement, y: LieElement) -> Fraction:
+    """Calibrated bi-invariant metric <x, y> = METRIC_NORMALIZATION * tr(XY)."""
+    return METRIC_NORMALIZATION * trace2(x, y)
 
 
 def omega(x: LieElement, y: LieElement, z: LieElement) -> Fraction:
@@ -225,46 +224,41 @@ def volume_form(x: LieElement, y: LieElement, z: LieElement, orientation: int = 
     return orientation * det3([metric_coords(v) for v in (x, y, z)])
 
 
-def gram_matrix(normalization: Fraction | None = None) -> tuple:
+def gram_matrix() -> tuple:
     """Metric Gram matrix on the ordered basis (H, E, F)."""
-    return tuple(tuple(metric(a, b, normalization) for b in BASIS) for a in BASIS)
+    return tuple(tuple(metric(a, b) for b in BASIS) for a in BASIS)
+
+
+def _sign_changes(coeffs) -> int:
+    """Sign changes along a sequence of nonzero numbers."""
+    return sum((a > 0) != (b > 0) for a, b in zip(coeffs, coeffs[1:]))
 
 
 def rational_signature(sym) -> tuple:
     """Signature (positives, negatives, zeros) of a symmetric matrix of
-    Fractions, by exact congruence diagonalisation (simultaneous row and
-    column elimination); no floating point, no eigenvalues."""
-    m = [[as_fraction(v) for v in row] for row in sym]
+    Fractions, by Descartes' rule of signs on its characteristic
+    polynomial p(x) = x^n + c_1 x^(n-1) + ... + c_n.  The rule is exact
+    because a symmetric matrix has only real eigenvalues: p(x) and p(-x)
+    have as many sign changes as there are positive and negative ones,
+    and 0 is a root of the multiplicity of the zero ones.  The c_k come
+    from the Faddeev-LeVerrier recursion M_1 = I,
+    M_k = sym M_(k-1) + c_(k-1) I, c_k = -tr(sym M_k) / k."""
+    m = tuple(tuple(as_fraction(v) for v in row) for row in sym)
     n = len(m)
-    for i in range(n):
-        if m[i][i] == 0:
-            pivot = next((j for j in range(i + 1, n) if m[j][j] != 0), None)
-            if pivot is not None:
-                m[i], m[pivot] = m[pivot], m[i]
-                for row in m:
-                    row[i], row[pivot] = row[pivot], row[i]
-            else:
-                mate = next((j for j in range(i + 1, n) if m[i][j] != 0), None)
-                if mate is None:
-                    continue
-                for k in range(n):
-                    m[i][k] += m[mate][k]
-                for row in m:
-                    row[i] += row[mate]
-        for j in range(i + 1, n):
-            if m[j][i] == 0:
-                continue
-            factor = m[j][i] / m[i][i]
-            for k in range(n):
-                m[j][k] -= factor * m[i][k]
-            for row in m:
-                row[j] -= factor * row[i]
-    diag = [m[i][i] for i in range(n)]
-    return (
-        sum(1 for d in diag if d > 0),
-        sum(1 for d in diag if d < 0),
-        sum(1 for d in diag if d == 0),
-    )
+    if any(len(row) != n for row in m) or m != tuple(zip(*m)):
+        raise InputError("rational_signature needs a square symmetric matrix")
+    coeffs, acc = [Fraction(1)], ((Fraction(0),) * n,) * n
+    for k in range(1, n + 1):
+        acc = tuple(
+            tuple(v + coeffs[-1] if i == j else v for j, v in enumerate(row))
+            for i, row in enumerate(_mat_mul(m, acc))
+        )
+        coeffs.append(-_trace_product(m, acc) / k)
+    # (power of x, coefficient) of the nonzero terms of p, highest first
+    terms = [(n - k, c) for k, c in enumerate(coeffs) if c]
+    positives = _sign_changes([c for _, c in terms])
+    negatives = _sign_changes([-c if power % 2 else c for power, c in terms])
+    return positives, negatives, terms[-1][0]
 
 
 @dataclass(frozen=True)
@@ -272,18 +266,17 @@ class MetricTensor:
     """The calibrated metric as a Gram matrix on (H, E, F)."""
 
     gram: tuple
-    normalization: Fraction
 
     @classmethod
-    def standard(cls, normalization: Fraction | None = None) -> "MetricTensor":
-        lam = METRIC_NORMALIZATION if normalization is None else as_fraction(normalization)
-        return cls(gram=gram_matrix(lam), normalization=lam)
+    def standard(cls) -> "MetricTensor":
+        return cls(gram=gram_matrix())
 
     def signature(self) -> tuple:
         return rational_signature(self.gram)
 
     def causal_type(self, x: LieElement) -> str:
-        q = metric(x, x, self.normalization)
+        """Sign of x^T gram x on the (H, E, F) coordinates of x."""
+        q = _dot(x.coords, tuple(_dot(row, x.coords) for row in self.gram))
         if q > 0:
             return CAUSAL_SPACELIKE
         if q < 0:

@@ -105,8 +105,9 @@ class Moebius:
         b = other.mat / np.linalg.norm(other.mat)
         return float(min(np.linalg.norm(a - b), np.linalg.norm(a + b)))
 
-    def close_to(self, other: "Moebius", tol: float = 1e-9) -> bool:
-        return self.dist_mod_sign(other) <= tol
+    def close_to(self, other: "Moebius") -> bool:
+        """Equal in PSL(2, R) up to TYPE_TOLERANCE in dist_mod_sign."""
+        return self.dist_mod_sign(other) <= TYPE_TOLERANCE
 
     def __repr__(self) -> str:
         return f"Moebius({self.mat.tolist()!r})"
@@ -118,12 +119,12 @@ ELEM_PARABOLIC = "parabolic"
 ELEM_HYPERBOLIC = "hyperbolic"
 
 
-def elem_type(m: Moebius, tol: float = TYPE_TOLERANCE) -> str:
-    """Classify by |trace|: < 2 elliptic, > 2 hyperbolic, = 2 parabolic
-    or the identity (decided by distance to the identity mod sign)."""
+def elem_type(m: Moebius) -> str:
+    """Classify by |trace| within TYPE_TOLERANCE: < 2 elliptic, > 2
+    hyperbolic, = 2 parabolic or the identity (decided by close_to)."""
     t = abs(m.trace)
-    if abs(t - 2.0) <= tol:
-        if m.dist_mod_sign(Moebius.identity()) <= tol:
+    if abs(t - 2.0) <= TYPE_TOLERANCE:
+        if m.close_to(Moebius.identity()):
             return ELEM_IDENTITY
         return ELEM_PARABOLIC
     return ELEM_ELLIPTIC if t < 2.0 else ELEM_HYPERBOLIC
@@ -324,8 +325,7 @@ def fuchsian_regular_polygon(genus: int) -> Representation:
     polygon's central rotation) of a single hyperbolic translation.  The
     relator then closes up to rounding error and the Euler class is
     -(2g - 2)."""
-    if not isinstance(genus, int) or genus < 2:
-        raise InputError("genus must be an integer >= 2")
+    group = SurfaceGroup(genus)
     n = 4 * genus
     circumradius = math.acosh(1.0 / math.tan(math.pi / n) ** 2)
     r = math.tanh(circumradius / 2.0)
@@ -340,7 +340,7 @@ def fuchsian_regular_polygon(genus: int) -> Representation:
     for i in range(genus):
         images.append(_su_to_moebius(pairing(4 * i)))
         images.append(_su_to_moebius(_su_inverse(pairing(4 * i + 1))))
-    return Representation(SurfaceGroup(genus), tuple(images))
+    return Representation(group, tuple(images))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +358,7 @@ def _wrap(x: float) -> float:
     return (x + math.pi / 2) % math.pi - math.pi / 2
 
 
-def euler_class(rep: Representation, tol: float = EULER_TOLERANCE) -> tuple:
+def euler_class(rep: Representation) -> tuple:
     """(euler, residual): the lifted relator read at the line of angle 0,
     divided by pi and rounded to the nearest integer.
 
@@ -369,8 +369,8 @@ def euler_class(rep: Representation, tol: float = EULER_TOLERANCE) -> tuple:
     upper-right entry, which fixes that line, out of the gate.
 
     residual is the distance of that ratio from the integer; when it
-    exceeds tol the representation has no readable Euler class and an
-    IntegralityError is raised.  The relator is a product of
+    exceeds EULER_TOLERANCE the representation has no readable Euler
+    class and an IntegralityError is raised.  The relator is a product of
     commutators, so the integer does not depend on the lift chosen for
     each letter; it is conjugation invariant, changes sign under
     orientation reversal, and is bounded by 2g - 2 in magnitude
@@ -392,9 +392,9 @@ def euler_class(rep: Representation, tol: float = EULER_TOLERANCE) -> tuple:
     ratio = turn / math.pi
     nearest = round(ratio)
     residual = abs(ratio - nearest)
-    if residual > tol:
+    if residual > EULER_TOLERANCE:
         raise IntegralityError(
-            f"lifted relator displacement {ratio} pi is not within {tol} of "
+            f"lifted relator displacement {ratio} pi is not within {EULER_TOLERANCE} of "
             "an integer; representation is too far from the relation"
         )
     return nearest, residual

@@ -109,6 +109,44 @@ def oracle_form_evaluate(values, coords):
     return total
 
 
+def oracle_signature(sym):
+    """Signature (positives, negatives, zeros) of a symmetric Fraction
+    matrix by congruence diagonalisation: simultaneous row and column
+    elimination, swapping in a nonzero diagonal pivot when one is left,
+    else adding a row and column with a nonzero off-diagonal entry."""
+    m = [[Fraction(v) for v in row] for row in sym]
+    n = len(m)
+    for i in range(n):
+        if m[i][i] == 0:
+            pivot = next((j for j in range(i + 1, n) if m[j][j] != 0), None)
+            if pivot is not None:
+                m[i], m[pivot] = m[pivot], m[i]
+                for row in m:
+                    row[i], row[pivot] = row[pivot], row[i]
+            else:
+                mate = next((j for j in range(i + 1, n) if m[i][j] != 0), None)
+                if mate is None:
+                    continue
+                for k in range(n):
+                    m[i][k] += m[mate][k]
+                for row in m:
+                    row[i] += row[mate]
+        for j in range(i + 1, n):
+            if m[j][i] == 0:
+                continue
+            factor = m[j][i] / m[i][i]
+            for k in range(n):
+                m[j][k] -= factor * m[i][k]
+            for row in m:
+                row[j] -= factor * row[i]
+    diag = [m[i][i] for i in range(n)]
+    return (
+        sum(1 for d in diag if d > 0),
+        sum(1 for d in diag if d < 0),
+        sum(1 for d in diag if d == 0),
+    )
+
+
 def simpson_unit(f):
     """Simpson rule on [0, 1]; exact for cubics, all Fraction."""
     return (f(Fraction(0)) + 4 * f(Fraction(1, 2)) + f(Fraction(1))) / 6

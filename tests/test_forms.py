@@ -54,6 +54,14 @@ elements = st.builds(LieElement.of, rationals, rationals, rationals)
 ZERO = LieElement.of(0, 0, 0)
 LOW = LieElement.of(-6, 6, Fraction(-47, 8))
 HIGH = LieElement.of(Fraction(1, 8), 6, -6)
+# Path parameters drawn the same way: [-4, 4] with denominator at most 5,
+# and [0, 1] with denominator at most 40.
+scales = st.integers(1, 5).flatmap(
+    lambda q: st.integers(-4 * q, 4 * q).map(lambda p: Fraction(p, q))
+)
+unit_interval = st.integers(1, 40).flatmap(
+    lambda q: st.integers(0, q).map(lambda p: Fraction(p, q))
+)
 
 
 def rand_matrix(rng):
@@ -96,10 +104,11 @@ def test_form_antisymmetry_in_arguments():
     assert two.evaluate(U1, U1) == forms._zero_matrix()
 
 
-@given(elements, elements, st.fractions(min_value=-4, max_value=4, max_denominator=5))
+@given(elements, elements, scales)
 @example(ZERO, LOW, Fraction(-4))
 @example(LOW, HIGH, Fraction(4))
 @example(HIGH, ZERO, Fraction(1, 5))
+@example(LOW, LOW, Fraction(0))
 def test_two_form_is_bilinear(x, y, t):
     a = canonical_maurer_cartan()
     two = bracket_wedge(a, a)
@@ -183,6 +192,21 @@ def test_form_constructors_reject_malformed_input(cls, good, bad_values):
     for vectors in ((U1,), (U1, U2, U3)):
         with pytest.raises(InputError):
             form.evaluate(*vectors)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: canonical_maurer_cartan().value_at((4,)),
+        lambda: canonical_maurer_cartan().value_at((1, 1, 2)),
+        lambda: EndValuedForm(0, {(): 5}),
+        lambda: EndValuedForm(0, {(): forms._zero_matrix()}) + ScalarForm(0, {(): 1}),
+    ],
+    ids=["index-out-of-range", "too-many-indices", "scalar-as-matrix", "mixed-sum"],
+)
+def test_malformed_form_input_raises_input_error(call):
+    with pytest.raises(InputError):
+        call()
 
 
 def test_scalar_form_arithmetic():
@@ -285,7 +309,10 @@ def test_curvature_midpoint_value():
     assert mid == expected
 
 
-@given(st.fractions(min_value=0, max_value=1, max_denominator=40))
+@given(unit_interval)
+@example(Fraction(0))
+@example(Fraction(1))
+@example(Fraction(39, 40))
 def test_curvature_closed_form_coefficient(t):
     a = canonical_maurer_cartan()
     curv = curvature_at(ConnectionPath(t))

@@ -23,6 +23,7 @@ from _oracles import (
     oracle_bracket,
     oracle_killing,
     oracle_omega,
+    oracle_signature,
 )
 from adsvol import liealg
 from adsvol.errors import InputError
@@ -86,7 +87,12 @@ def pin_edges(*extra):
         return test
 
     return pin
-scalars = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+# The rationals in [-5, 5] with denominator at most 6, drawn as p/q.
+scalars = st.integers(1, 6).flatmap(
+    lambda q: st.integers(-5 * q, 5 * q).map(lambda p: Fraction(p, q))
+)
 
 
 # ---------------------------------------------------------------- basics
@@ -144,6 +150,9 @@ def test_bracket_antisymmetry(x, y):
 
 @given(elements, elements, elements, scalars)
 @pin_edges(Fraction(-5))
+@example(*EDGE_ELEMENTS, Fraction(0))
+@example(*EDGE_ELEMENTS, Fraction(5))
+@example(*EDGE_ELEMENTS, Fraction(-29, 6))
 def test_bracket_bilinearity(x, y, z, t):
     assert bracket(x + t * y, z) == bracket(x, z) + t * bracket(y, z)
 
@@ -297,6 +306,49 @@ def test_rational_signature_handles_degenerate_and_offdiag():
     ) == (1, 1, 1)
     zero = ((Fraction(0),) * 3,) * 3
     assert rational_signature(zero) == (0, 0, 3)
+
+
+def random_symmetric(rng, n, kind):
+    """A random symmetric n x n Fraction matrix: `general`, `sparse`
+    (most entries 0), `zero_diagonal`, or `low_rank` (sum of r < n signed
+    rank-one squares), the last three reaching the congruence oracle's
+    pivot-swap and mate branches."""
+
+    def entry():
+        if kind == "sparse" and rng.random() < 0.6:
+            return Fraction(0)
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    if kind == "low_rank":
+        rows = [[entry() for _ in range(n)] for _ in range(rng.randint(0, n - 1))]
+        weights = [entry() for _ in rows]
+        return tuple(
+            tuple(sum((w * r[i] * r[j] for w, r in zip(weights, rows)), Fraction(0))
+                  for j in range(n))
+            for i in range(n)
+        )
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = entry()
+        if kind == "zero_diagonal":
+            m[i][i] = Fraction(0)
+    return tuple(map(tuple, m))
+
+
+@pytest.mark.parametrize("kind", ["general", "sparse", "zero_diagonal", "low_rank"])
+def test_rational_signature_matches_congruence_oracle(rng, kind):
+    for n in range(1, 6):
+        for _ in range(25):
+            m = random_symmetric(rng, n, kind)
+            assert rational_signature(m) == oracle_signature(m)
+
+
+def test_rational_signature_rejects_non_symmetric_input():
+    with pytest.raises(InputError):
+        rational_signature(((1, 0, 0), (0, 1, 0)))
+    with pytest.raises(InputError):
+        rational_signature(((1, 2), (3, 1)))
 
 
 def test_causal_types():

@@ -26,3 +26,12 @@ def load_script(name):
 def test_script_runs(capsys, name, argv):
     assert load_script(name).main(argv) == 0
     assert capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize("name", ["lipschitz_growth", "volume_census"])
+@pytest.mark.parametrize("genus", ["1", "0", "-3"])
+def test_script_rejects_genus_below_two(capsys, name, genus):
+    with pytest.raises(SystemExit) as exit_info:
+        load_script(name).main(["--genus", genus])
+    assert exit_info.value.code == 2
+    assert "--genus must be at least 2" in capsys.readouterr().err
