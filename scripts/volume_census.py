@@ -48,30 +48,24 @@ def census(max_euler, max_degree, genus):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    best = None
+    largest = smallest = None
     count = 0
     for descriptor in census(args.max_euler, args.max_degree, args.genus):
         record = invariants.json_record(descriptor)
         print(json.dumps(record))
         count += 1
-        magnitude = invariants.volume(descriptor).magnitude.coeff
-        if best is None or magnitude > best[0]:
-            best = (magnitude, record)
-    if best is None:
+        magnitude = Fraction(record["volume_pi2"])
+        if largest is None or magnitude > largest[0]:
+            largest = (magnitude, descriptor)
+        if magnitude > 0 and (smallest is None or magnitude < smallest[0]):
+            smallest = (magnitude, descriptor)
+    if largest is None:
         print("census is empty for these bounds", file=sys.stderr)
         return 1
     print(
-        f"{count} descriptors; largest volume {best[0]} * pi^2 at "
-        f"(e={best[1]['e']}, f={best[1]['f']}, k={best[1]['k']})",
+        f"{count} descriptors; largest volume {largest[0]} * pi^2 at "
+        f"(e={largest[1].e}, f={largest[1].f}, k={largest[1].k})",
         file=sys.stderr,
-    )
-    smallest = min(
-        (
-            (invariants.volume(d).magnitude.coeff, d)
-            for d in census(args.max_euler, args.max_degree, args.genus)
-            if invariants.volume(d).magnitude.coeff > 0
-        ),
-        key=lambda pair: pair[0],
     )
     print(
         f"smallest positive volume {smallest[0]} * pi^2 at "

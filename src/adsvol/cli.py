@@ -5,13 +5,16 @@ payload is a single JSON document; human-readable summaries go to
 stderr.  Exit codes are a stable contract:
 
     0  success
-    1  verification failure
+    1  verification failure (a failed `verify` check, or `rep` generators
+       whose relator residual exceeds reps.RELATOR_TOLERANCE)
     2  input error (including unknown flags, via argparse)
     3  I/O error
     4  Euler-class integrality failure
 
-Each handler imports the layer it needs when it runs, so `volume` and
-`cs` never load the numpy-backed `reps` and `admissibility`.
+Each handler only computes: it returns its stdout payload, its stderr
+summary and its exit code, and `main` alone writes them.  Each handler
+imports the layer it needs when it runs, so `volume` and `cs` never load
+the numpy-backed `reps` and `admissibility`.
 """
 
 from __future__ import annotations
@@ -21,22 +24,13 @@ import json
 import sys
 
 from . import DEFAULT_MAX_WORD_LENGTH
-from .errors import InputError, IntegralityError
+from .errors import InputError, IntegralityError, VerificationError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_IO = 3
 EXIT_INTEGRALITY = 4
-
-
-def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout)
-    sys.stdout.write("\n")
-
-
-def _info(message: str) -> None:
-    print(message, file=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,128 +60,121 @@ def build_parser() -> argparse.ArgumentParser:
         help="scan reduced words up to this length (default %(default)s)",
     )
 
-    volume = sub.add_parser("volume", help="exact volume of a descriptor")
-    for flag in ("--e", "--f", "--k"):
-        volume.add_argument(flag, type=int, required=True)
-
-    cs = sub.add_parser("cs", help="exact Chern-Simons invariant of a descriptor")
-    for flag in ("--e", "--f", "--k"):
-        cs.add_argument(flag, type=int, required=True)
+    for name, help_text in (
+        ("volume", "exact volume of a descriptor"),
+        ("cs", "exact Chern-Simons invariant of a descriptor"),
+    ):
+        descriptor = sub.add_parser(name, help=help_text)
+        for flag in ("--e", "--f", "--k"):
+            descriptor.add_argument(flag, type=int, required=True)
 
     sub.add_parser("verify", help="run the identity checks")
     return parser
 
 
-def run_rep(args) -> int:
+def run_rep(args) -> tuple:
     from . import reps
 
     rep = reps.fuchsian_regular_polygon(args.genus)
     residual = reps.relator_residual(rep)
+    if not residual <= reps.RELATOR_TOLERANCE:
+        raise VerificationError(
+            f"genus {args.genus} generators do not close: relator residual "
+            f"{residual:.3e} exceeds tolerance {reps.RELATOR_TOLERANCE}"
+        )
     euler, euler_residual = reps.euler_class(rep)
     reps.save_representation(rep, args.out)
-    _info(
+    payload = {
+        "genus": args.genus,
+        "out": args.out,
+        "relator_residual": residual,
+        "euler": euler,
+    }
+    summary = (
         f"genus {args.genus}: wrote {args.out}; relator residual {residual:.3e}, "
         f"euler class {euler} (residual {euler_residual:.3e})"
     )
-    _emit(
-        {
-            "genus": args.genus,
-            "out": args.out,
-            "relator_residual": residual,
-            "euler": euler,
-        }
-    )
-    return EXIT_OK
+    return payload, summary, EXIT_OK
 
 
-def run_euler(args) -> int:
+def run_euler(args) -> tuple:
     from . import reps
 
     rep = reps.load_representation(args.rep)
     euler, residual = reps.euler_class(rep)
-    _info(f"euler class {euler}, integrality residual {residual:.3e}")
-    _emit({"euler": euler, "residual": residual})
-    return EXIT_OK
+    summary = f"euler class {euler}, integrality residual {residual:.3e}"
+    return {"euler": euler, "residual": residual}, summary, EXIT_OK
 
 
-def run_lipschitz(args) -> int:
+def run_lipschitz(args) -> tuple:
     from . import admissibility, reps
 
     rho = reps.load_representation(args.rho)
     sigma = reps.load_representation(args.sigma)
-    report = admissibility.admissibility_report(
-        rho, sigma, max_len=args.max_word_len
-    )
-    _info(
+    report = admissibility.admissibility_report(rho, sigma, max_len=args.max_word_len)
+    summary = (
         f"lower bound {report.lipschitz.lower_bound:.12g} over "
         f"{report.lipschitz.words_scanned} words; verdict {report.verdict}"
     )
-    _emit(admissibility.report_json(report))
-    return EXIT_OK
+    return admissibility.report_json(report), summary, EXIT_OK
 
 
-def run_volume(args) -> int:
+def run_descriptor(args) -> tuple:
+    """`volume` and `cs`: the same exact record, summarised by command."""
     from . import invariants
 
     record = invariants.json_record(invariants.AdSDescriptor(args.e, args.f, args.k))
-    _info(
-        f"volume of (e={args.e}, f={args.f}, k={args.k}): "
-        f"{record['volume_pi2']} * pi^2 (signed {record['volume_signed_pi2']})"
-    )
-    _emit(record)
-    return EXIT_OK
+    where = f"(e={args.e}, f={args.f}, k={args.k})"
+    if args.command == "volume":
+        summary = (
+            f"volume of {where}: {record['volume_pi2']} * pi^2 "
+            f"(signed {record['volume_signed_pi2']})"
+        )
+    else:
+        summary = f"chern-simons of {where}: {record['cs']}"
+    return record, summary, EXIT_OK
 
 
-def run_cs(args) -> int:
-    from . import invariants
-
-    record = invariants.json_record(invariants.AdSDescriptor(args.e, args.f, args.k))
-    _info(f"chern-simons of (e={args.e}, f={args.f}, k={args.k}): {record['cs']}")
-    _emit(record)
-    return EXIT_OK
-
-
-def run_verify(_args) -> int:
+def run_verify(_args) -> tuple:
     from . import verify
 
-    results = verify.run_checks()
-    for result in results:
-        status = "PASS" if result.passed else "FAIL"
-        _info(f"{status} {result.name}: {result.detail}")
-    payload = {
-        "checks": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-        ],
-        "all_passed": all(r.passed for r in results),
-    }
-    _emit(payload)
-    return EXIT_OK if payload["all_passed"] else EXIT_VERIFY_FAILED
+    checks = verify.run_checks()
+    all_passed = all(check["passed"] for check in checks)
+    summary = "\n".join(
+        f"{'PASS' if check['passed'] else 'FAIL'} {check['name']}: {check['detail']}"
+        for check in checks
+    )
+    payload = {"checks": checks, "all_passed": all_passed}
+    return payload, summary, EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 
 HANDLERS = {
     "rep": run_rep,
     "euler": run_euler,
     "lipschitz": run_lipschitz,
-    "volume": run_volume,
-    "cs": run_cs,
+    "volume": run_descriptor,
+    "cs": run_descriptor,
     "verify": run_verify,
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    payload = None
     try:
-        return HANDLERS[args.command](args)
+        payload, summary, code = HANDLERS[args.command](args)
+    except VerificationError as exc:
+        summary, code = f"verification failure: {exc}", EXIT_VERIFY_FAILED
     except InputError as exc:
-        _info(f"input error: {exc}")
-        return EXIT_INPUT
+        summary, code = f"input error: {exc}", EXIT_INPUT
     except IntegralityError as exc:
-        _info(f"integrality failure: {exc}")
-        return EXIT_INTEGRALITY
+        summary, code = f"integrality failure: {exc}", EXIT_INTEGRALITY
     except OSError as exc:
-        _info(f"i/o error: {exc}")
-        return EXIT_IO
+        summary, code = f"i/o error: {exc}", EXIT_IO
+    print(summary, file=sys.stderr)
+    if payload is not None:
+        print(json.dumps(payload))
+    return code
 
 
 def entrypoint() -> None:

@@ -63,7 +63,10 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"malformed rational string {value!r}: {exc}") from exc
     raise InputError(
         f"expected an exact rational, got {type(value).__name__}: {value!r}"
     )

@@ -43,6 +43,9 @@ from .errors import InputError, IntegralityError
 DET_TOLERANCE = 1e-6
 TYPE_TOLERANCE = 1e-9
 EULER_TOLERANCE = 1e-6
+#: Largest relator residual at which `adsvol rep` writes its generators;
+#: the library's relator_residual only reports.
+RELATOR_TOLERANCE = 1e-4
 
 
 class Moebius:
@@ -257,7 +260,8 @@ def evaluate(rep: Representation, word: Word) -> Moebius:
 
 def relator_residual(rep: Representation) -> float:
     """Distance (mod sign) of the evaluated surface relator from the
-    identity; reported, never rejected."""
+    identity; reported, never rejected (`adsvol rep` gates it against
+    RELATOR_TOLERANCE)."""
     return evaluate(rep, relator_word(rep.genus)).dist_mod_sign(Moebius.identity())
 
 

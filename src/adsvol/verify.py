@@ -11,20 +11,12 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import forms, invariants, liealg, reps
 from .liealg import LieElement
 
 SEED = 20260814
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
 
 
 def _random_element(rng) -> LieElement:
@@ -236,7 +228,8 @@ CHECKS = (
 
 
 def run_checks() -> list:
-    """Run every identity check, each from a fresh generator seeded SEED."""
+    """Run every identity check, each from a fresh generator seeded SEED;
+    one {"name", "passed", "detail"} row per check, in CHECKS order."""
     results = []
     for name, check in CHECKS:
         rng = random.Random(SEED)
@@ -244,5 +237,5 @@ def run_checks() -> list:
             passed, detail = check(rng)
         except Exception as exc:  # a crashed check is a failed check
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(name=name, passed=passed, detail=detail))
+        results.append({"name": name, "passed": passed, "detail": detail})
     return results

@@ -88,6 +88,26 @@ def test_rep_then_euler_round_trip(tmp_path, capsys):
     assert "euler class" in err
 
 
+def test_rep_relator_gate_refuses_genus_55(tmp_path, capsys):
+    target = tmp_path / "rep55.json"
+    code, out, err = run_cli(capsys, "rep", "--genus", "55", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert not target.exists()
+    assert err.startswith("verification failure: genus 55 ")
+    assert f"tolerance {reps.RELATOR_TOLERANCE}" in err
+
+
+def test_rep_relator_gate_reads_tolerance_at_call_time(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(reps, "RELATOR_TOLERANCE", 0.0)
+    target = tmp_path / "rep2.json"
+    code, out, err = run_cli(capsys, "rep", "--genus", "2", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert not target.exists()
+    assert "verification failure: genus 2 " in err
+
+
 def test_euler_missing_file_exits_three(tmp_path, capsys):
     code, out, err = run_cli(capsys, "euler", "--rep", str(tmp_path / "nope.json"))
     assert code == 3
@@ -244,6 +264,51 @@ def test_verify_detects_curvature_sign_fault(capsys, monkeypatch):
 # ------------------------------------------------------------- plumbing
 
 
+VERIFY_SUMMARY = """\
+PASS jacobi: bracket axioms, trace identities and signature (+,+,-)
+PASS maurer-cartan: dA + (1/2)[A^A] = 0 exactly; rescaling detected
+PASS curvature-path: R(t) = ((t^2-t)/2)[A^A] at 11 points, flat endpoints
+PASS vol-cs: vol_from_cs(cs_pair(d)) = signed volume on 10^4 random d
+PASS unit-tangent: unit tangent volume and cs identities for e in [-50, -2]
+PASS chasles: cs_pair = chasles(cs_rho_id(e,k), -cs_rho_id(f,k)) on 200 random d
+PASS degree: cs_scale multiplicative; degree-k pullback matches k = 1 values
+PASS milnor-wood: Euler classes: trivial 0, polygon +-(2g-2), elliptic 0, bound holds
+PASS calibration: metric calibration, omega ratio -2, kappa -4, calibration -1
+"""
+
+
+def test_every_summary_line_is_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    expected = [
+        (
+            ("volume", "--e", "-2", "--f", "0", "--k", "-2"),
+            "volume of (e=-2, f=0, k=-2): 8/1 * pi^2 (signed -8/1)\n",
+        ),
+        (
+            ("cs", "--e", "-4", "--f", "2", "--k", "3"),
+            "chern-simons of (e=-4, f=2, k=3): -2/3\n",
+        ),
+        (
+            ("rep", "--genus", "2", "--out", "r.json"),
+            "genus 2: wrote r.json; relator residual 1.186e-14, "
+            "euler class -2 (residual 0.000e+00)\n",
+        ),
+        (
+            ("euler", "--rep", "r.json"),
+            "euler class -2, integrality residual 0.000e+00\n",
+        ),
+        (
+            ("lipschitz", "--rho", "r.json", "--sigma", "r.json", "--max-word-len", "2"),
+            "lower bound 1 over 64 words; verdict refuted\n",
+        ),
+        (("verify",), VERIFY_SUMMARY),
+    ]
+    for argv, summary in expected:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert err == summary, argv
+
+
 def test_every_success_path_emits_single_json_line(tmp_path, capsys):
     rep_path = tmp_path / "r.json"
     commands = [
@@ -251,6 +316,9 @@ def test_every_success_path_emits_single_json_line(tmp_path, capsys):
         ("euler", "--rep", str(rep_path)),
         ("volume", "--e", "3", "--f", "1", "--k", "2"),
         ("cs", "--e", "3", "--f", "1", "--k", "2"),
+        ("lipschitz", "--rho", str(rep_path), "--sigma", str(rep_path),
+         "--max-word-len", "2"),
+        ("verify",),
     ]
     for argv in commands:
         code, out, _ = run_cli(capsys, *argv)

@@ -27,6 +27,7 @@ from _oracles import (
 )
 from adsvol import liealg
 from adsvol.errors import InputError
+from adsvol.forms import ScalarForm
 from adsvol.liealg import (
     BASIS,
     E,
@@ -110,6 +111,22 @@ def test_as_fraction_accepts_exact_types_only():
     assert as_fraction(Fraction(-1, 2)) == Fraction(-1, 2)
     with pytest.raises(InputError):
         as_fraction(0.5)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LieElement.of("abc", 0, 0),
+        lambda: LieElement.of("1/0", 0, 0),
+        lambda: LieElement.of(" ", 0, 0),
+        lambda: ScalarForm(0, {(): "1/0"}),
+    ],
+    ids=["not-a-number", "zero-denominator", "blank", "scalar-form"],
+)
+def test_malformed_rational_string_is_input_error(build):
+    with pytest.raises(InputError) as excinfo:
+        build()
+    assert isinstance(excinfo.value.__cause__, (ValueError, ZeroDivisionError))
 
 
 def test_element_arithmetic():
