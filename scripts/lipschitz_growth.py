@@ -20,6 +20,7 @@ import sys
 import time
 
 from adsvol import admissibility, reps
+from adsvol.errors import InputError
 
 
 def parse_args(argv=None):
@@ -32,6 +33,18 @@ def parse_args(argv=None):
     args = parser.parse_args(argv)
     if args.genus < 2:
         parser.error("--genus must be at least 2")
+    if args.max_depth < 1:
+        parser.error("--max-depth must be at least 1")
+    try:
+        cap = admissibility.max_words_cap()
+    except InputError as exc:
+        parser.error(str(exc))
+    words = admissibility.reduced_word_count(args.genus, args.max_depth)
+    if words > cap:
+        parser.error(
+            f"--max-depth {args.max_depth} scans {words} words, over the cap of "
+            f"{cap}; raise {admissibility.MAX_WORDS_ENV} to allow it"
+        )
     return args
 
 

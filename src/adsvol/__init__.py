@@ -43,8 +43,8 @@ _EXPORTS = {
         "unit_tangent_volume", "vol_from_cs", "volume",
     ),
     "liealg": (
-        "LieElement", "MetricTensor", "OrientedFrame", "adjoint", "bracket",
-        "killing", "metric", "omega", "volume_form",
+        "LieElement", "OrientedFrame", "adjoint", "bracket", "killing", "metric",
+        "omega", "volume_form",
     ),
     "reps": (
         "Moebius", "Representation", "SurfaceGroup", "Word", "elem_type",

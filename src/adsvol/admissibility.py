@@ -31,12 +31,14 @@ import numpy as np
 
 from . import DEFAULT_MAX_WORD_LENGTH
 from .errors import InputError
-from .reps import Representation, Word, euler_class
+from .reps import Representation, Word, _adjugate, euler_class
 
 MAX_WORDS_ENV = "ADSVOL_MAX_WORDS"
 DEFAULT_MAX_WORDS = 10**7
 
-DEFAULT_DENOMINATOR_FLOOR = 1e-6
+#: Words whose rho-length does not exceed this are left out of the
+#: ratio; read at call time.
+DENOMINATOR_FLOOR = 1e-6
 
 VERDICT_REFUTED = "refuted"
 VERDICT_NOT_REFUTED = "not_refuted"
@@ -81,17 +83,14 @@ class LipschitzEstimate:
     witness: Word | None
     words_scanned: int
     max_word_length: int
-    denominator_floor: float
 
 
 def _flat_generators(rep: Representation) -> np.ndarray:
     """(4g, 4) float array: row j holds the row-major entries (a, b, c, d)
     of letter_order(g)[j], inverses included."""
     rows = []
-    for letter in range(1, 2 * rep.genus + 1):
-        m = rep.images[letter - 1].mat
-        rows.append((m[0, 0], m[0, 1], m[1, 0], m[1, 1]))
-        rows.append((m[1, 1], -m[0, 1], -m[1, 0], m[0, 0]))
+    for image in rep.images:
+        rows += [image.mat.ravel(), _adjugate(image.mat).ravel()]
     return np.array(rows, dtype=float)
 
 
@@ -118,7 +117,7 @@ def _extend(prods: np.ndarray, table: np.ndarray, keep: np.ndarray) -> np.ndarra
     return out
 
 
-def _scan(rho_table, sigma_table, max_len, floor, genus):
+def _scan(rho_table, sigma_table, max_len, genus):
     """Best (ratio, witness) over all reduced words of length 1..max_len,
     plus the number of words scanned.
 
@@ -155,7 +154,7 @@ def _scan(rho_table, sigma_table, max_len, floor, genus):
             _lengths(sigma_m),
             rho_len,
             out=np.full_like(rho_len, -1.0),
-            where=rho_len > floor,
+            where=rho_len > DENOMINATOR_FLOOR,
         )
         i = int(np.argmax(ratio))
         r = float(ratio[i])
@@ -189,11 +188,10 @@ def lipschitz_lower_bound(
     rho: Representation,
     sigma: Representation,
     max_len: int = DEFAULT_MAX_WORD_LENGTH,
-    floor: float = DEFAULT_DENOMINATOR_FLOOR,
 ) -> LipschitzEstimate:
     """sup over reduced words of length <= max_len of the ratio of
     translation lengths ell(sigma(w)) / ell(rho(w)), restricted to words
-    whose rho-length exceeds the denominator floor.
+    whose rho-length exceeds DENOMINATOR_FLOOR.
 
     Returns 0 with no witness when nothing clears the floor.  Ties go
     to the shortlex-least word, and the result is bitwise independent of
@@ -202,8 +200,6 @@ def lipschitz_lower_bound(
         raise InputError("rho and sigma must have the same genus")
     if not isinstance(max_len, int) or max_len < 1:
         raise InputError("max_len must be an integer >= 1")
-    if not (floor > 0.0):
-        raise InputError("denominator floor must be positive")
     total = reduced_word_count(rho.genus, max_len)
     cap = max_words_cap()
     if total > cap:
@@ -212,14 +208,13 @@ def lipschitz_lower_bound(
             f"raise {MAX_WORDS_ENV} to allow it"
         )
     ratio, witness, scanned = _scan(
-        _flat_generators(rho), _flat_generators(sigma), max_len, floor, rho.genus
+        _flat_generators(rho), _flat_generators(sigma), max_len, rho.genus
     )
     return LipschitzEstimate(
         lower_bound=ratio,
         witness=witness,
         words_scanned=scanned,
         max_word_length=max_len,
-        denominator_floor=floor,
     )
 
 
@@ -235,7 +230,6 @@ def admissibility_report(
     rho: Representation,
     sigma: Representation,
     max_len: int = DEFAULT_MAX_WORD_LENGTH,
-    floor: float = DEFAULT_DENOMINATOR_FLOOR,
 ) -> AdmissibilityReport:
     """Euler classes, Lipschitz lower bound and the refutation verdict.
 
@@ -253,7 +247,7 @@ def admissibility_report(
             f"rho is not Fuchsian-like: |Euler class| is {abs(euler_rho)}, "
             f"needs {bound}"
         )
-    estimate = lipschitz_lower_bound(rho, sigma, max_len=max_len, floor=floor)
+    estimate = lipschitz_lower_bound(rho, sigma, max_len=max_len)
     refuted = estimate.lower_bound >= 1.0 or abs(euler_sigma) == bound
     return AdmissibilityReport(
         euler_rho=euler_rho,

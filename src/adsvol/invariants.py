@@ -111,6 +111,12 @@ class CsValue:
         return rational_str(self.value)
 
 
+def _require_int(name: str, value) -> None:
+    """Refuse anything but an int; bool is refused too."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AdSDescriptor:
     """Integer descriptor (e, f, k) of a closed quotient, genus optional.
@@ -131,9 +137,7 @@ class AdSDescriptor:
 
     def __post_init__(self):
         for name in ("e", "f", "k"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise InputError(f"{name} must be an integer, got {v!r}")
+            _require_int(name, getattr(self, name))
         if self.k == 0:
             raise InputError("covering degree k must be nonzero")
         if self.genus is not None:
@@ -167,8 +171,7 @@ def volume(d: AdSDescriptor) -> VolumeResult:
 
 def unit_tangent_volume(e: int) -> PiSquaredScalar:
     """Volume 4e * pi^2 of the unit tangent bundle descriptor (e, 0, e)."""
-    if not isinstance(e, int) or isinstance(e, bool):
-        raise InputError("e must be an integer")
+    _require_int("e", e)
     if e == 0:
         raise InputError("unit tangent bundle needs e != 0")
     return PiSquaredScalar(Fraction(4 * e))
@@ -177,6 +180,8 @@ def unit_tangent_volume(e: int) -> PiSquaredScalar:
 def cs_rho_id(f: int, k: int) -> CsValue:
     """Chern-Simons difference -f^2/(6k) between the flat connection of
     the second factor and the trivial one, on the degree-k quotient."""
+    _require_int("f", f)
+    _require_int("k", k)
     if k == 0:
         raise InputError("covering degree k must be nonzero")
     return CsValue(Fraction(-f * f, 6 * k))
@@ -191,8 +196,7 @@ def cs_pair(d: AdSDescriptor) -> CsValue:
 def cs_scale(degree: int, v: CsValue) -> CsValue:
     """Pullback along a degree-d fibrewise covering multiplies the
     invariant by d."""
-    if not isinstance(degree, int) or isinstance(degree, bool):
-        raise InputError("degree must be an integer")
+    _require_int("degree", degree)
     return CsValue(degree * v.value)
 
 

@@ -187,6 +187,16 @@ def metric(x: LieElement, y: LieElement) -> Fraction:
     return METRIC_NORMALIZATION * trace2(x, y)
 
 
+def causal_type(x: LieElement) -> str:
+    """Spacelike, timelike or lightlike by the sign of metric(x, x)."""
+    q = metric(x, x)
+    if q > 0:
+        return CAUSAL_SPACELIKE
+    if q < 0:
+        return CAUSAL_TIMELIKE
+    return CAUSAL_LIGHTLIKE
+
+
 def omega(x: LieElement, y: LieElement, z: LieElement) -> Fraction:
     """Alternating 3-form tr(ad_x ad_[y,z]) = killing(x, [y, z])."""
     return killing(x, bracket(y, z))
@@ -262,29 +272,6 @@ def rational_signature(sym) -> tuple:
     positives = _sign_changes([c for _, c in terms])
     negatives = _sign_changes([-c if power % 2 else c for power, c in terms])
     return positives, negatives, terms[-1][0]
-
-
-@dataclass(frozen=True)
-class MetricTensor:
-    """The calibrated metric as a Gram matrix on (H, E, F)."""
-
-    gram: tuple
-
-    @classmethod
-    def standard(cls) -> "MetricTensor":
-        return cls(gram=gram_matrix())
-
-    def signature(self) -> tuple:
-        return rational_signature(self.gram)
-
-    def causal_type(self, x: LieElement) -> str:
-        """Sign of x^T gram x on the (H, E, F) coordinates of x."""
-        q = _dot(x.coords, tuple(_dot(row, x.coords) for row in self.gram))
-        if q > 0:
-            return CAUSAL_SPACELIKE
-        if q < 0:
-            return CAUSAL_TIMELIKE
-        return CAUSAL_LIGHTLIKE
 
 
 @dataclass(frozen=True)

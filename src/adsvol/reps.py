@@ -48,6 +48,12 @@ EULER_TOLERANCE = 1e-6
 RELATOR_TOLERANCE = 1e-4
 
 
+def _adjugate(m: np.ndarray) -> np.ndarray:
+    """[[d, -b], [-c, a]] for m = [[a, b], [c, d]]: the inverse of a
+    determinant-1 matrix, real or complex, with no rescaling."""
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+
+
 class Moebius:
     """Element of PSL(2, R), stored as a normalised 2x2 float matrix."""
 
@@ -95,8 +101,7 @@ class Moebius:
         return Moebius(self.mat.dot(other.mat))
 
     def inverse(self) -> "Moebius":
-        m = self.mat
-        return Moebius([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+        return Moebius(_adjugate(self.mat))
 
     def dist_mod_sign(self, other: "Moebius") -> float:
         """Frobenius distance in PSL(2, R), i.e. up to scale and sign.
@@ -144,6 +149,12 @@ def translation_length(m: Moebius) -> float:
     return 2.0 * math.acosh(half)
 
 
+def _check_letter(x) -> None:
+    """A word letter is a nonzero int; bool is refused."""
+    if not isinstance(x, int) or isinstance(x, bool) or x == 0:
+        raise InputError(f"letters must be nonzero integers, got {x!r}")
+
+
 @dataclass(frozen=True)
 class Word:
     """Reduced word in the free group on 2g letters.
@@ -157,8 +168,7 @@ class Word:
         letters = tuple(self.letters)
         object.__setattr__(self, "letters", letters)
         for x in letters:
-            if not isinstance(x, int) or isinstance(x, bool) or x == 0:
-                raise InputError(f"letters must be nonzero integers, got {x!r}")
+            _check_letter(x)
         for x, y in zip(letters, letters[1:]):
             if x == -y:
                 raise InputError(f"word {letters} is not reduced")
@@ -167,8 +177,7 @@ class Word:
     def reduced(cls, seq) -> "Word":
         stack = []
         for x in seq:
-            if not isinstance(x, int) or isinstance(x, bool) or x == 0:
-                raise InputError(f"letters must be nonzero integers, got {x!r}")
+            _check_letter(x)
             if stack and stack[-1] == -x:
                 stack.pop()
             else:
@@ -238,8 +247,9 @@ class Representation:
         return self.group.genus
 
     def generator(self, letter: int) -> Moebius:
+        _check_letter(letter)
         index = abs(letter) - 1
-        if letter == 0 or index >= len(self.images):
+        if index >= len(self.images):
             raise InputError(f"letter {letter} out of range for genus {self.genus}")
         image = self.images[index]
         return image if letter > 0 else image.inverse()
@@ -298,12 +308,6 @@ def _su_align(p: complex, q: complex) -> np.ndarray:
     return _su_rotation(-angle).dot(t)
 
 
-def _su_inverse(m: np.ndarray) -> np.ndarray:
-    return np.array(
-        [[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex
-    )
-
-
 def _su_to_moebius(m: np.ndarray) -> Moebius:
     """Conjugate an SU(1, 1) matrix back to SL(2, R) through the Cayley
     map z -> (z - i)/(z + i); the result is real up to rounding noise."""
@@ -338,12 +342,12 @@ def fuchsian_regular_polygon(genus: int) -> Representation:
     def pairing(j: int) -> np.ndarray:
         g_target = _su_align(vertices[j % n], vertices[(j + 1) % n])
         g_source = _su_align(vertices[(j + 3) % n], vertices[(j + 2) % n])
-        return _su_inverse(g_target).dot(g_source)
+        return _adjugate(g_target).dot(g_source)
 
     images = []
     for i in range(genus):
         images.append(_su_to_moebius(pairing(4 * i)))
-        images.append(_su_to_moebius(_su_inverse(pairing(4 * i + 1))))
+        images.append(_su_to_moebius(_adjugate(pairing(4 * i + 1))))
     return Representation(group, tuple(images))
 
 
@@ -387,7 +391,7 @@ def euler_class(rep: Representation) -> tuple:
         # inverse back to the letter itself, whose polar angle is +pi/2
         # where its inverse's must be -pi/2
         m = rep.images[abs(letter) - 1].mat
-        g = m if letter > 0 else np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+        g = m if letter > 0 else _adjugate(m)
         step = _polar_angle(g)
         product = acc.dot(g)
         turn += step + _wrap(_polar_angle(product) - _polar_angle(acc) - step)

@@ -46,7 +46,7 @@ def check_jacobi(rng) -> tuple:
             return False, "adjoint is not a Lie-algebra homomorphism"
         if liealg.killing(x, y) != 4 * liealg.trace2(x, y):
             return False, "Killing form is not 4 * trace form"
-    signature = liealg.MetricTensor.standard().signature()
+    signature = liealg.rational_signature(liealg.gram_matrix())
     if signature != (2, 1, 0):
         return False, f"metric signature is {signature}, expected (2, 1, 0)"
     return True, "bracket axioms, trace identities and signature (+,+,-)"

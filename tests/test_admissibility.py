@@ -66,7 +66,7 @@ def test_bound_matches_naive_maximum(fuchsian_g2, rng):
     for letters in naive_reduced_words(2, 3):
         word = Word(letters)
         denom = translation_length(reps.evaluate(fuchsian_g2, word))
-        if denom <= est.denominator_floor:
+        if denom <= admissibility.DENOMINATOR_FLOOR:
             continue
         numer = translation_length(reps.evaluate(sigma, word))
         best = max(best, numer / denom)
@@ -107,8 +107,9 @@ def _reference_lengths(rep, genus, max_len):
     return lengths
 
 
-def _check_against_reference(rho, sigma, rho_lengths, sigma_lengths, max_len, floor):
-    est = lipschitz_lower_bound(rho, sigma, max_len=max_len, floor=floor)
+def _check_against_reference(rho, sigma, rho_lengths, sigma_lengths, max_len):
+    floor = admissibility.DENOMINATOR_FLOOR
+    est = lipschitz_lower_bound(rho, sigma, max_len=max_len)
     words = [w for w in rho_lengths if len(w) <= max_len]
     ratios = [
         sigma_lengths[w] / rho_lengths[w] for w in words if rho_lengths[w] > floor
@@ -124,7 +125,7 @@ def _check_against_reference(rho, sigma, rho_lengths, sigma_lengths, max_len, fl
 
 
 @pytest.mark.parametrize("genus, max_len", [(2, 5), (3, 4)])
-def test_scan_matches_plain_python_reference(genus, max_len):
+def test_scan_matches_plain_python_reference(genus, max_len, monkeypatch):
     rho = reps.fuchsian_regular_polygon(genus)
     rho_lengths = _reference_lengths(rho, genus, max_len)
     conj = reps.conjugate(rho, Moebius([[1.3, 0.4], [0.1, 1.0]]))
@@ -136,12 +137,11 @@ def test_scan_matches_plain_python_reference(genus, max_len):
             else _reference_lengths(sigma, genus, max_len)
         )
         for n in range(1, max_len + 1):
-            _check_against_reference(rho, sigma, rho_lengths, sigma_lengths, n, 1e-6)
+            _check_against_reference(rho, sigma, rho_lengths, sigma_lengths, n)
     # a floor above every generator's length leaves only longer words
     floor = 1.5 * max(rho_lengths[(letter,)] for letter in letter_order(genus))
-    est = _check_against_reference(
-        rho, conj, rho_lengths, conj_lengths, max_len, floor
-    )
+    monkeypatch.setattr(admissibility, "DENOMINATOR_FLOOR", floor)
+    est = _check_against_reference(rho, conj, rho_lengths, conj_lengths, max_len)
     assert len(est.witness) >= 2
 
 
@@ -166,6 +166,7 @@ def test_exact_ties_go_to_the_shortlex_least_word(fuchsian_g2, monkeypatch, bloc
     lengths = _reference_lengths(fuchsian_g2, 2, 4)
     floors = sorted({round(v, 9) for w, v in lengths.items() if len(w) <= 3})
     for floor in floors[:-1]:
+        monkeypatch.setattr(admissibility, "DENOMINATOR_FLOOR", floor)
         want = min(
             (w for w, v in lengths.items() if v > floor),
             key=lambda w: shortlex_key(w, 2),
@@ -174,7 +175,7 @@ def test_exact_ties_go_to_the_shortlex_least_word(fuchsian_g2, monkeypatch, bloc
             (fuchsian_g2, 1.0),
             (reps.trivial_representation(2), 0.0),
         ):
-            est = lipschitz_lower_bound(fuchsian_g2, sigma, max_len=4, floor=floor)
+            est = lipschitz_lower_bound(fuchsian_g2, sigma, max_len=4)
             assert (est.lower_bound, est.witness) == (ratio, Word(want)), floor
 
 
@@ -224,8 +225,17 @@ def test_genus_mismatch_rejected(fuchsian_g2, fuchsian_g3):
 def test_invalid_parameters_rejected(fuchsian_g2):
     with pytest.raises(InputError):
         lipschitz_lower_bound(fuchsian_g2, fuchsian_g2, max_len=0)
-    with pytest.raises(InputError):
-        lipschitz_lower_bound(fuchsian_g2, fuchsian_g2, max_len=3, floor=0.0)
+
+
+def test_denominator_floor_is_read_at_call_time(fuchsian_g2, monkeypatch):
+    est = lipschitz_lower_bound(fuchsian_g2, fuchsian_g2, max_len=2)
+    assert (est.lower_bound, est.witness) == (1.0, Word((1,)))
+    # the g=2 polygon's generators share one length up to rounding, so
+    # 1.5 times it leaves only words of length 2, such as a1^2
+    floor = 1.5 * translation_length(fuchsian_g2.images[0])
+    monkeypatch.setattr(admissibility, "DENOMINATOR_FLOOR", floor)
+    est = lipschitz_lower_bound(fuchsian_g2, fuchsian_g2, max_len=2)
+    assert est.lower_bound == 1.0 and len(est.witness) == 2
 
 
 def test_word_budget_cap(fuchsian_g2, monkeypatch):
@@ -256,10 +266,11 @@ def test_report_trivial_target_not_refuted(fuchsian_g2):
     assert report.lipschitz.lower_bound == 0.0
 
 
-def test_report_extremal_sigma_refutes_even_with_zero_bound(fuchsian_g2):
+def test_report_extremal_sigma_refutes_even_with_zero_bound(fuchsian_g2, monkeypatch):
     # a huge denominator floor suppresses every ratio, so refutation
     # can only come from the extremal target Euler number
-    report = admissibility_report(fuchsian_g2, fuchsian_g2, max_len=1, floor=1e9)
+    monkeypatch.setattr(admissibility, "DENOMINATOR_FLOOR", 1e9)
+    report = admissibility_report(fuchsian_g2, fuchsian_g2, max_len=1)
     assert report.lipschitz.lower_bound == 0.0
     assert report.lipschitz.witness is None
     assert abs(report.euler_sigma) == 2

@@ -127,6 +127,12 @@ def test_cs_rho_id_worked_values():
     assert cs_rho_id(0, 9) == CsValue(0)
 
 
+@pytest.mark.parametrize("f, k", [(1.5, 2), (2, 1.5), (True, 1)])
+def test_cs_rho_id_rejects_non_integers(f, k):
+    with pytest.raises(InputError, match="must be an integer"):
+        cs_rho_id(f, k)
+
+
 def test_cs_pair_worked_values():
     assert cs_pair(AdSDescriptor(-2, 0, -2)) == CsValue(Fraction(1, 3))
     assert cs_pair(AdSDescriptor(-4, 2, 3)) == CsValue(Fraction(-2, 3))

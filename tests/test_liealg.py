@@ -41,12 +41,12 @@ from adsvol.liealg import (
     U2,
     U3,
     LieElement,
-    MetricTensor,
     OrientedFrame,
     adjoint,
     adjoint_action,
     as_fraction,
     bracket,
+    causal_type,
     frame_coords,
     gram_matrix,
     killing,
@@ -310,7 +310,6 @@ def test_metric_normalization_matches_geodesic_speed():
 
 def test_signature_is_two_one():
     assert rational_signature(gram_matrix()) == (2, 1, 0)
-    assert MetricTensor.standard().signature() == (2, 1, 0)
 
 
 def test_rational_signature_handles_degenerate_and_offdiag():
@@ -369,10 +368,23 @@ def test_rational_signature_rejects_non_symmetric_input():
 
 
 def test_causal_types():
-    m = MetricTensor.standard()
-    assert m.causal_type(H) == liealg.CAUSAL_SPACELIKE
-    assert m.causal_type(E) == liealg.CAUSAL_LIGHTLIKE
-    assert m.causal_type(U3) == liealg.CAUSAL_TIMELIKE
+    assert causal_type(H) == liealg.CAUSAL_SPACELIKE
+    assert causal_type(E) == liealg.CAUSAL_LIGHTLIKE
+    assert causal_type(U3) == liealg.CAUSAL_TIMELIKE
+
+
+@given(elements)
+@pin_edges()
+def test_causal_type_matches_gram_quadratic_form(x):
+    # oracle: the sign of x^T G x with G = gram_matrix() on (H, E, F)
+    g = gram_matrix()
+    q = sum(x.coords[i] * g[i][j] * x.coords[j] for i in range(3) for j in range(3))
+    want = (
+        liealg.CAUSAL_SPACELIKE if q > 0
+        else liealg.CAUSAL_TIMELIKE if q < 0
+        else liealg.CAUSAL_LIGHTLIKE
+    )
+    assert causal_type(x) == want
 
 
 @given(elements)

@@ -26,8 +26,8 @@ EXPORTS = (
     "wedge_trace", "AdSDescriptor", "CsValue", "PiSquaredScalar",
     "VolumeResult", "chasles", "cs_pair", "cs_rho_id", "cs_scale",
     "geometry_calibration", "unit_tangent_volume", "vol_from_cs", "volume",
-    "LieElement", "MetricTensor", "OrientedFrame", "adjoint", "bracket",
-    "killing", "metric", "omega", "volume_form", "Moebius", "Representation",
+    "LieElement", "OrientedFrame", "adjoint", "bracket", "killing", "metric",
+    "omega", "volume_form", "Moebius", "Representation",
     "SurfaceGroup", "Word", "elem_type", "euler_class", "evaluate",
     "fuchsian_regular_polygon", "load_representation", "relator_residual",
     "save_representation", "translation_length", "trivial_representation",

@@ -152,6 +152,15 @@ def test_generator_lookup(fuchsian_g2):
         fuchsian_g2.generator(0)
 
 
+@pytest.mark.parametrize("letter", [True, 1.0, -1.0, 0])
+def test_every_letter_entry_point_rejects_a_non_letter(fuchsian_g2, letter):
+    for build in (Word, Word.reduced):
+        with pytest.raises(InputError, match="nonzero integers"):
+            build((1, letter))
+    with pytest.raises(InputError, match="nonzero integers"):
+        fuchsian_g2.generator(letter)
+
+
 def test_evaluate_single_letters(fuchsian_g2):
     for index, image in enumerate(fuchsian_g2.images, start=1):
         assert evaluate(fuchsian_g2, Word((index,))).close_to(image)

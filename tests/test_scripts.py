@@ -35,3 +35,30 @@ def test_script_rejects_genus_below_two(capsys, name, genus):
         load_script(name).main(["--genus", genus])
     assert exit_info.value.code == 2
     assert "--genus must be at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "depth, env, message",
+    [
+        ("0", None, "--max-depth must be at least 1"),
+        ("-2", None, "--max-depth must be at least 1"),
+        # 8 * 7^11 words at genus 2, over the default cap of 10^7
+        ("12", None, "over the cap of 10000000"),
+        ("3", "100", "over the cap of 100"),
+        ("3", "many", "ADSVOL_MAX_WORDS must be an integer"),
+    ],
+    ids=["zero", "negative", "default-cap", "env-cap", "malformed-cap"],
+)
+def test_lipschitz_growth_rejects_bad_depth_before_scanning(
+    capsys, monkeypatch, depth, env, message
+):
+    if env is None:
+        monkeypatch.delenv("ADSVOL_MAX_WORDS", raising=False)
+    else:
+        monkeypatch.setenv("ADSVOL_MAX_WORDS", env)
+    with pytest.raises(SystemExit) as exit_info:
+        load_script("lipschitz_growth").main(["--genus", "2", "--max-depth", depth])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
