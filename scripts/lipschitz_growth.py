@@ -50,6 +50,14 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    try:
+        return run(args)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def run(args) -> int:
     rng = random.Random(args.seed)
     rho = reps.fuchsian_regular_polygon(args.genus)
     conjugator = reps.Moebius(

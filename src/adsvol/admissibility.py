@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import DEFAULT_MAX_WORD_LENGTH
-from .errors import InputError
+from .errors import InputError, _require_int
 from .reps import Representation, Word, _adjugate, euler_class
 
 MAX_WORDS_ENV = "ADSVOL_MAX_WORDS"
@@ -198,7 +198,8 @@ def lipschitz_lower_bound(
     the scan's block size."""
     if rho.genus != sigma.genus:
         raise InputError("rho and sigma must have the same genus")
-    if not isinstance(max_len, int) or max_len < 1:
+    _require_int("max_len", max_len)
+    if max_len < 1:
         raise InputError("max_len must be an integer >= 1")
     total = reduced_word_count(rho.genus, max_len)
     cap = max_words_cap()

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its integer check.
 
 The CLI maps these onto its exit-code contract: verification failure
 -> 1, bad input -> 2, I/O trouble -> 3, Euler-class integrality
@@ -8,6 +8,12 @@ failure -> 4.
 
 class InputError(ValueError):
     """Caller-supplied data violates a documented precondition."""
+
+
+def _require_int(name: str, value) -> None:
+    """Refuse anything but an int; bool is refused too."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{name} must be an integer, got {value!r}")
 
 
 class IntegralityError(RuntimeError):

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import forms
-from .errors import ConventionWarning, InputError
+from .errors import ConventionWarning, InputError, _require_int
 from .liealg import as_fraction
 
 #: cs_density of the canonical form on the reference frame, frozen after
@@ -109,12 +109,6 @@ class CsValue:
 
     def __str__(self) -> str:
         return rational_str(self.value)
-
-
-def _require_int(name: str, value) -> None:
-    """Refuse anything but an int; bool is refused too."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InputError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -188,9 +182,8 @@ def cs_rho_id(f: int, k: int) -> CsValue:
 
 
 def cs_pair(d: AdSDescriptor) -> CsValue:
-    """Relative Chern-Simons invariant cs_rho_id(e, k) - cs_rho_id(f, k)
-    = (f^2 - e^2)/(6k) of the two flat factors."""
-    return cs_rho_id(d.e, d.k) - cs_rho_id(d.f, d.k)
+    """Relative Chern-Simons invariant (f^2 - e^2)/(6k) of the two factors."""
+    return CsValue(Fraction(d.f * d.f - d.e * d.e, 6 * d.k))
 
 
 def cs_scale(degree: int, v: CsValue) -> CsValue:

@@ -227,6 +227,21 @@ def test_invalid_parameters_rejected(fuchsian_g2):
         lipschitz_lower_bound(fuchsian_g2, fuchsian_g2, max_len=0)
 
 
+@pytest.mark.parametrize(
+    "max_len, message",
+    [
+        (True, "max_len must be an integer, got True"),
+        (1.0, "max_len must be an integer, got 1.0"),
+        (0, "max_len must be an integer >= 1"),
+    ],
+)
+def test_max_len_must_be_a_positive_int(fuchsian_g2, max_len, message):
+    for entry in (lipschitz_lower_bound, admissibility_report):
+        with pytest.raises(InputError) as info:
+            entry(fuchsian_g2, fuchsian_g2, max_len=max_len)
+        assert str(info.value) == message
+
+
 def test_denominator_floor_is_read_at_call_time(fuchsian_g2, monkeypatch):
     est = lipschitz_lower_bound(fuchsian_g2, fuchsian_g2, max_len=2)
     assert (est.lower_bound, est.witness) == (1.0, Word((1,)))

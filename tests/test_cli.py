@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from adsvol import cli, forms, liealg, reps
+from adsvol import cli, forms, invariants, liealg, reps
 from adsvol.reps import save_representation
 from conftest import make_noncommuting_bad_rep, make_steep_conjugate_rep
 
@@ -259,6 +259,26 @@ def test_verify_detects_curvature_sign_fault(capsys, monkeypatch):
     payload = parse_single_json(out)
     failing = {c["name"] for c in payload["checks"] if not c["passed"]}
     assert failing == {"curvature-path"}
+
+
+@pytest.mark.parametrize(
+    "name, fault, failing",
+    [
+        ("cs_rho_id", lambda true: lambda f, k: 2 * true(f, k),
+         {"unit-tangent", "chasles"}),
+        ("cs_pair", lambda true: lambda d: -true(d),
+         {"vol-cs", "chasles", "calibration"}),
+    ],
+    ids=["cs_rho_id-doubled", "cs_pair-negated"],
+)
+def test_verify_detects_cs_formula_faults(capsys, monkeypatch, name, fault, failing):
+    # cs_pair is a closed form of its own, so chasles compares two
+    # formulas and catches a fault in either
+    monkeypatch.setattr(invariants, name, fault(getattr(invariants, name)))
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 1
+    payload = parse_single_json(out)
+    assert {c["name"] for c in payload["checks"] if not c["passed"]} == failing
 
 
 # ------------------------------------------------------------- plumbing

@@ -142,6 +142,8 @@ def test_cs_pair_worked_values():
 @given(ints, ints, nonzero_ints)
 def test_cs_pair_closed_form(e, f, k):
     assert cs_pair(descriptor(e, f, k)).value == Fraction(f * f - e * e, 6 * k)
+    # oracle: the Chasles composition of two cs_rho_id values
+    assert cs_pair(descriptor(e, f, k)) == cs_rho_id(e, k) - cs_rho_id(f, k)
 
 
 @given(ints, ints, nonzero_ints)

@@ -62,3 +62,13 @@ def test_lipschitz_growth_rejects_bad_depth_before_scanning(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_lipschitz_growth_reports_a_library_input_error(capsys):
+    # at genus 3000 the polygon build loses the precision it needs and
+    # raises InputError; the script reports it without a traceback
+    code = load_script("lipschitz_growth").main(["--genus", "3000", "--max-depth", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: matrix is not conjugate to a real one\n"
