@@ -36,15 +36,9 @@ def parse_args(argv=None):
     if args.max_depth < 1:
         parser.error("--max-depth must be at least 1")
     try:
-        cap = admissibility.max_words_cap()
+        admissibility.check_word_budget(args.genus, args.max_depth)
     except InputError as exc:
         parser.error(str(exc))
-    words = admissibility.reduced_word_count(args.genus, args.max_depth)
-    if words > cap:
-        parser.error(
-            f"--max-depth {args.max_depth} scans {words} words, over the cap of "
-            f"{cap}; raise {admissibility.MAX_WORDS_ENV} to allow it"
-        )
     return args
 
 

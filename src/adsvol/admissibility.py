@@ -4,7 +4,7 @@ two representations, and the admissibility verdict built on it.
 For a dominated pair (rho Fuchsian-like, sigma strictly shorter) the
 ratio of translation lengths
 
-    ell(sigma(w)) / ell(rho(w))
+    ell(sigma(w)) / ell(rho(w)),    ell = 2 arccosh(|tr| / 2),
 
 stays below 1 on every group element; the supremum of the ratio over
 reduced words up to a length cutoff is therefore a one-sided refutation
@@ -13,13 +13,12 @@ below 1 proves nothing (the bound only grows with the cutoff).  A
 maximal |Euler class| for sigma refutes independently: sigma would sit
 in a Fuchsian component rather than being strictly dominated.
 
-The scan runs one word length at a time on numpy arrays of 2x2
-products, built in blocks of bounded size that are walked depth-first,
-so memory stays O(block size x cutoff) and the word cap bounds time only.
-Within a length the rows are in shortlex order over the letter order
-1, -1, 2, -2, ..., and the blocks keep that order across the whole
-scan, so the result is the shortlex-least word of maximal ratio however
-the blocks fall.
+A word is scored by its trace alone, so the scan is one step, taken
+from the empty word over bounded blocks walked depth-first: it scores a
+block's one-letter extensions from the diagonal entries of their
+products, and multiplies out the rest only for words it will extend
+again.  Memory stays O(block size x cutoff), so the word cap bounds
+time only, and ties go to the shortlex-least word.
 """
 
 from __future__ import annotations
@@ -77,6 +76,19 @@ def reduced_word_count(genus: int, max_len: int) -> int:
     return sum(n * (n - 1) ** (length - 1) for length in range(1, max_len + 1))
 
 
+def check_word_budget(genus: int, max_len: int) -> None:
+    """InputError if the reduced words of length 1..max_len outnumber
+    max_words_cap(); counts one length at a time, stopping at the cap."""
+    cap, total, n = max_words_cap(), 0, 4 * genus
+    for length in range(1, max_len + 1):
+        total += n * (n - 1) ** (length - 1)
+        if total > cap:
+            raise InputError(
+                f"scanning to depth {max_len} goes over the cap of {cap} words; "
+                f"raise {MAX_WORDS_ENV} to allow it"
+            )
+
+
 @dataclass(frozen=True)
 class LipschitzEstimate:
     lower_bound: float
@@ -94,26 +106,27 @@ def _flat_generators(rep: Representation) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def _lengths(prods: np.ndarray) -> np.ndarray:
-    """Translation lengths 2 arccosh(|tr| / 2) of the (m, 4) products,
-    0 where the product is not hyperbolic."""
-    half = np.abs(prods[:, 0] + prods[:, 3]) / 2.0
-    out = np.zeros_like(half)
-    np.arccosh(half, out=out, where=half > 1.0)
-    return 2.0 * out
+def _ratios(rho_m: np.ndarray, sigma_m: np.ndarray) -> np.ndarray:
+    """ell(sigma) / ell(rho) per row, ell = 2 arccosh(|tr| / 2) or 0 if not
+    hyperbolic; -1 where the rho-length does not clear DENOMINATOR_FLOOR."""
+    half = np.abs([m[:, 0] + m[:, 3] for m in (rho_m, sigma_m)]) / 2.0
+    lengths = np.zeros_like(half)
+    np.arccosh(half, out=lengths, where=half > 1.0)
+    lengths *= 2.0
+    rho_len, sigma_len = lengths
+    out = np.full_like(rho_len, -1.0)
+    return np.divide(sigma_len, rho_len, out=out, where=rho_len > DENOMINATOR_FLOOR)
 
 
-def _extend(prods: np.ndarray, table: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Right-multiply every product by every generator, as the same
-    separate multiplies and adds as a 2x2 product written out by hand,
-    and keep the (row, letter) pairs flagged in `keep`, row-major."""
-    a, b, c, d = (prods[:, k, None] for k in range(4))
-    ga, gb, gc, gd = table.T
-    out = np.empty((np.count_nonzero(keep), 4))
-    out[:, 0] = (a * ga + b * gc)[keep]
-    out[:, 1] = (a * gb + b * gd)[keep]
-    out[:, 2] = (c * ga + d * gc)[keep]
-    out[:, 3] = (c * gb + d * gd)[keep]
+def _extend(prods, table, mask, entries) -> np.ndarray:
+    """Row-major entries k = 2i + j of each product times each generator,
+    for the (row, letter) pairs in `mask`, written out by hand as in a 2x2
+    product; the entries not asked for are left unset."""
+    out = np.empty((np.count_nonzero(mask), 4))
+    for k in entries:
+        i, j = divmod(k, 2)
+        head, tail = prods[:, 2 * i, None], prods[:, 2 * i + 1, None]
+        out[:, k] = (head * table[:, j] + tail * table[:, 2 + j])[mask]
     return out
 
 
@@ -121,65 +134,57 @@ def _scan(rho_table, sigma_table, max_len, genus):
     """Best (ratio, witness) over all reduced words of length 1..max_len,
     plus the number of words scanned.
 
-    Words are scanned one length at a time.  A frontier holds the rho
-    and sigma products of its words as (m, 4) arrays plus their letters;
-    the first frontier is the 4g generators, and the next length
-    multiplies every row by every letter but the inverse of its last
-    one.  Rows stay in shortlex order, so the first maximum of a
-    frontier is its shortlex-least witness.  The next frontier is built
-    from consecutive rows in blocks of at most about _BLOCK_ROWS rows,
-    and each block is walked to full depth before the next, so live
-    memory is O(_BLOCK_ROWS * max_len) whatever max_len is.  Words of
-    equal length are still met in shortlex order, so a later maximum
-    replaces the best only when it is larger, or equal and shorter: the
-    result is the shortlex-least word of maximal ratio.  Products are
-    accumulated left to right in plain float arithmetic, so the blocking
-    does not change a single rounding."""
+    One step does the work.  Visiting a block of words, with their rho
+    and sigma products as (m, 4) arrays, scores their extensions by each
+    letter `mask` allows (all but the inverse of a word's last letter).
+    A ratio needs only traces, so the step always computes the two
+    diagonal entries of the extensions, and the off-diagonal ones only
+    when they will be extended again.  The root block is the empty word:
+    the identity, with every letter allowed.  The extensions are cut
+    into blocks of at most _BLOCK_ROWS // (4g - 1) words, each visited
+    to full depth before the next, so live memory is O(_BLOCK_ROWS *
+    max_len).  Words of equal length are met in shortlex order, so a
+    later maximum replaces the best only when it is larger, or equal and
+    shorter.  Products accumulate left to right in plain float
+    arithmetic, so the blocking does not change a single rounding."""
     order = letter_order(genus)
     n = len(order)
+    alphabet = np.arange(n, dtype=np.min_scalar_type(n))
     # letter j is followed by anything but its inverse j ^ 1
-    keep = np.arange(n)[None, :] != (np.arange(n) ^ 1)[:, None]
-    follow = np.nonzero(keep)[1].reshape(n, n - 1).astype(np.min_scalar_type(n))
+    keep = alphabet[None, :] != (alphabet ^ 1)[:, None]
     step = max(1, _BLOCK_ROWS // (n - 1))
-    best_ratio = 0.0
-    best_witness = None
-    scanned = 0
+    best_ratio, best_witness, scanned = 0.0, None, 0
 
-    def visit(rho_m, sigma_m, letters):
+    def visit(rho_m, sigma_m, letters, mask):
         nonlocal best_ratio, best_witness, scanned
-        scanned += len(letters)
-        rho_len = _lengths(rho_m)
-        # -1 marks the words whose rho-length does not clear the floor
-        ratio = np.divide(
-            _lengths(sigma_m),
-            rho_len,
-            out=np.full_like(rho_len, -1.0),
-            where=rho_len > DENOMINATOR_FLOOR,
-        )
+        length = letters.shape[1] + 1
+        entries = range(4) if length < max_len else (0, 3)
+        rho_m = _extend(rho_m, rho_table, mask, entries)
+        sigma_m = _extend(sigma_m, sigma_table, mask, entries)
+        scanned += len(rho_m)
+        ratio = _ratios(rho_m, sigma_m)
         i = int(np.argmax(ratio))
         r = float(ratio[i])
-        length = letters.shape[1]
         if r >= 0.0 and (
             best_witness is None
             or r > best_ratio
             or (r == best_ratio and length < len(best_witness))
         ):
             best_ratio = r
-            best_witness = tuple(order[j] for j in letters[i])
+            row, last = divmod(int(np.flatnonzero(mask)[i]), n)
+            best_witness = tuple(order[j] for j in (*letters[row], last))
         if length == max_len:
             return
+        letters = np.column_stack((
+            np.repeat(letters, np.count_nonzero(mask, axis=1), axis=0),
+            np.broadcast_to(alphabet, mask.shape)[mask],
+        ))
         for lo in range(0, len(letters), step):
-            block = letters[lo : lo + step]
-            mask = keep[block[:, -1]]
-            visit(
-                _extend(rho_m[lo : lo + step], rho_table, mask),
-                _extend(sigma_m[lo : lo + step], sigma_table, mask),
-                np.column_stack(
-                    (np.repeat(block, n - 1, axis=0), follow[block[:, -1]].ravel())
-                ),
-            )
+            part = slice(lo, lo + step)
+            visit(rho_m[part], sigma_m[part], letters[part], keep[letters[part, -1]])
 
-    visit(rho_table, sigma_table, np.arange(n, dtype=follow.dtype)[:, None])
+    root = np.array([[1.0, 0.0, 0.0, 1.0]])
+    visit(root, root, np.empty((1, 0), alphabet.dtype), np.ones((1, n), bool))
     witness = Word(best_witness) if best_witness is not None else None
     return best_ratio, witness, scanned
 
@@ -201,13 +206,7 @@ def lipschitz_lower_bound(
     _require_int("max_len", max_len)
     if max_len < 1:
         raise InputError("max_len must be an integer >= 1")
-    total = reduced_word_count(rho.genus, max_len)
-    cap = max_words_cap()
-    if total > cap:
-        raise InputError(
-            f"enumeration of {total} words exceeds the cap of {cap}; "
-            f"raise {MAX_WORDS_ENV} to allow it"
-        )
+    check_word_budget(rho.genus, max_len)
     ratio, witness, scanned = _scan(
         _flat_generators(rho), _flat_generators(sigma), max_len, rho.genus
     )

@@ -384,7 +384,7 @@ def euler_class(rep: Representation) -> tuple:
     orientation reversal, and is bounded by 2g - 2 in magnitude
     (Milnor-Wood) whenever the relator genuinely closes up."""
     acc = np.eye(2)
-    turn = 0.0
+    angle = turn = 0.0  # angle is _polar_angle(acc)
     for letter in relator_word(rep.genus):
         # an inverse letter is the adjugate of the stored matrix, not a
         # renormalised Moebius: sign normalisation maps a trace-zero
@@ -393,10 +393,10 @@ def euler_class(rep: Representation) -> tuple:
         m = rep.images[abs(letter) - 1].mat
         g = m if letter > 0 else _adjugate(m)
         step = _polar_angle(g)
-        product = acc.dot(g)
-        turn += step + _wrap(_polar_angle(product) - _polar_angle(acc) - step)
-        acc = product
-    turn += _wrap(math.atan2(acc[1, 0], acc[0, 0]) - _polar_angle(acc))
+        acc = acc.dot(g)
+        previous, angle = angle, _polar_angle(acc)
+        turn += step + _wrap(angle - previous - step)
+    turn += _wrap(math.atan2(acc[1, 0], acc[0, 0]) - angle)
     ratio = turn / math.pi
     nearest = round(ratio)
     residual = abs(ratio - nearest)

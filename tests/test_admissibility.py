@@ -1,8 +1,10 @@
 """Reduced-word counts and the Lipschitz-ratio lower bound."""
 
+import hashlib
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from _oracles import naive_reduced_words, shortlex_key
@@ -183,10 +185,17 @@ def test_block_boundaries_do_not_change_the_result(
     fuchsian_g2, fuchsian_g3, monkeypatch
 ):
     shear = Moebius([[1.2, 0.1], [0.4, 1.0]])
+    conj2 = reps.conjugate(fuchsian_g2, shear)
+    conj3 = reps.conjugate(fuchsian_g3, shear)
     pairs = [
-        (fuchsian_g2, reps.conjugate(fuchsian_g2, shear), 5),
+        (fuchsian_g2, conj2, 5),
         (fuchsian_g2, reps.trivial_representation(2), 5),
-        (fuchsian_g3, reps.conjugate(fuchsian_g3, shear), 3),
+        (fuchsian_g3, conj3, 3),
+        # one and two lengths: the root visit alone, and one level below it
+        (fuchsian_g2, conj2, 1),
+        (fuchsian_g2, conj2, 2),
+        (fuchsian_g3, conj3, 1),
+        (fuchsian_g3, conj3, 2),
     ]
 
     def run(rho, sigma, n):
@@ -195,17 +204,16 @@ def test_block_boundaries_do_not_change_the_result(
 
     default = [run(*pair) for pair in pairs]
     # 7 rows is less than one parent's children at genus 3; 21 rows make
-    # 3-row blocks at genus 2, which split the 8 generator rows of the
-    # first frontier 3/3/2
+    # 3-row blocks at genus 2, which split the 8 generators 3/3/2
     for block_rows in (7, 21):
         monkeypatch.setattr(admissibility, "_BLOCK_ROWS", block_rows)
         assert [run(*pair) for pair in pairs] == default, block_rows
 
 
 def test_scan_memory_is_bounded_by_the_block(fuchsian_g2):
-    # a g=2, L=7 scan covers 1.1 M words; blocked it peaks near 2.5 MB,
-    # while the rho and sigma products of the whole last frontier
-    # (941,192 rows) would take 60 MB
+    # a g=2, L=7 scan covers 1.1 M words; blocked it peaks near 2.4 MB,
+    # while the rho and sigma products of all 941,192 words of length 7
+    # would take 60 MB
     sigma = reps.conjugate(fuchsian_g2, Moebius([[1.2, 0.1], [0.4, 1.0]]))
     tracemalloc.start()
     try:
@@ -215,6 +223,69 @@ def test_scan_memory_is_bounded_by_the_block(fuchsian_g2):
         tracemalloc.stop()
     assert est.words_scanned == reduced_word_count(2, 7)
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+# (genus, sigma, max_len, lower_bound.hex(), witness, words_scanned),
+# captured from the scan that multiplied out every word's full product
+GOLDEN = [
+    (2, "conjugate", 6, "0x1.000000000033ap+0", (-4, 2, 3, -2, -2, 4), 156864),
+    (2, "pinched", 6, "0x1.d6a7e25168080p-2", (-2, 3, 4, 3, -1, -1), 156864),
+    (2, "trivial", 6, "0x0.0p+0", (1,), 156864),
+    (2, "rho", 6, "0x1.0000000000000p+0", (1,), 156864),
+    (3, "conjugate", 5, "0x1.00000000018a6p+0", (4, -5, 2, 5, -4), 193260),
+    (3, "pinched", 5, "0x1.9e45cccf95ebep-2", (-1, -4, 1, 4, 1), 193260),
+    (2, "conjugate", 1, "0x1.0000000000001p+0", (1,), 8),
+    (2, "pinched", 1, "0x1.c5bf0aaa8536ap-2", (3,), 8),
+    (2, "trivial", 1, "0x0.0p+0", (1,), 8),
+    (2, "rho", 1, "0x1.0000000000000p+0", (1,), 8),
+    (2, "conjugate", 2, "0x1.0000000000002p+0", (3, -4), 64),
+    (2, "pinched", 2, "0x1.c5bf0aaa8536ap-2", (3,), 64),
+    (2, "trivial", 2, "0x0.0p+0", (1,), 64),
+    (2, "rho", 2, "0x1.0000000000000p+0", (1,), 64),
+    (3, "conjugate", 1, "0x1.0000000000005p+0", (5,), 12),
+    (3, "pinched", 1, "0x1.9e45cccf94c2fp-2", (5,), 12),
+    (3, "trivial", 1, "0x0.0p+0", (1,), 12),
+    (3, "rho", 1, "0x1.0000000000000p+0", (1,), 12),
+    (3, "conjugate", 2, "0x1.0000000000005p+0", (5,), 144),
+    (3, "pinched", 2, "0x1.9e45cccf94c2fp-2", (5,), 144),
+    (3, "trivial", 2, "0x0.0p+0", (1,), 144),
+    (3, "rho", 2, "0x1.0000000000000p+0", (1,), 144),
+]
+
+# The golden bounds hold for one rounding of np.arccosh: numpy's own
+# AVX-512 code on x86-64, which rounds some arguments differently in the
+# last bit from the C library's acosh.  This digest of its values on a
+# fixed grid tells whether the numpy at hand rounds the same way.
+GOLDEN_ARCCOSH_DIGEST = "32fa1c4ae1e6bb42"
+
+
+def _arccosh_digest():
+    half = np.linspace(1.0, 64.0, 4097)
+    out = np.zeros_like(half)
+    np.arccosh(half, out=out, where=half > 1.0)
+    return hashlib.sha256(out.tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("genus, target, max_len, bound, witness, scanned", GOLDEN)
+def test_scan_reproduces_the_golden_roundings(
+    genus, target, max_len, bound, witness, scanned
+):
+    if _arccosh_digest() != GOLDEN_ARCCOSH_DIGEST:
+        pytest.skip("np.arccosh rounds differently here from the golden capture")
+    rho = reps.fuchsian_regular_polygon(genus)
+    sigma = {
+        "conjugate": lambda: reps.conjugate(rho, Moebius([[1.3, 0.4], [0.1, 1.0]])),
+        "pinched": lambda: make_pinched_rep(genus),
+        "trivial": lambda: reps.trivial_representation(genus),
+        "rho": lambda: rho,
+    }[target]()
+    est = lipschitz_lower_bound(rho, sigma, max_len=max_len)
+    assert (est.lower_bound.hex(), est.witness, est.words_scanned) == (
+        bound,
+        Word(witness),
+        scanned,
+    )
+    assert type(est.words_scanned) is int
 
 
 def test_genus_mismatch_rejected(fuchsian_g2, fuchsian_g3):
@@ -257,9 +328,28 @@ def test_word_budget_cap(fuchsian_g2, monkeypatch):
     monkeypatch.setenv(admissibility.MAX_WORDS_ENV, "100")
     with pytest.raises(InputError):
         lipschitz_lower_bound(fuchsian_g2, fuchsian_g2, max_len=3)
+    # a scan of exactly the cap runs
+    monkeypatch.setenv(admissibility.MAX_WORDS_ENV, "64")
+    est = lipschitz_lower_bound(fuchsian_g2, fuchsian_g2, max_len=2)
+    assert est.words_scanned == 64
     monkeypatch.setenv(admissibility.MAX_WORDS_ENV, "not-a-number")
     with pytest.raises(InputError):
         lipschitz_lower_bound(fuchsian_g2, fuchsian_g2, max_len=2)
+
+
+@pytest.mark.parametrize("genus, max_len", [(2, 5089), (3, 4130), (10, 2703), (2, 10**9)])
+def test_word_budget_refuses_a_deep_scan_before_counting_it(
+    genus, max_len, monkeypatch
+):
+    # these depths have word counts of over 4300 digits, past what int
+    # to str conversion allows, and 10^9 lengths would take long to sum
+    monkeypatch.delenv(admissibility.MAX_WORDS_ENV, raising=False)
+    with pytest.raises(InputError) as info:
+        admissibility.check_word_budget(genus, max_len)
+    assert str(info.value) == (
+        f"scanning to depth {max_len} goes over the cap of 10000000 words; "
+        "raise ADSVOL_MAX_WORDS to allow it"
+    )
 
 
 # --------------------------------------------------------------- report

@@ -1,6 +1,7 @@
 """End-to-end CLI contract: JSON stdout, stderr summaries, exit codes."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -220,6 +221,57 @@ def test_lipschitz_genus_mismatch_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert "input error" in err
+
+
+def test_lipschitz_depth_past_the_cap_exits_two_at_once(tmp_path, capsys):
+    # 5089 is the first genus-2 depth whose word count has more than
+    # 4300 digits, past what int to str conversion allows
+    rep_path = tmp_path / "rho.json"
+    save_representation(reps.fuchsian_regular_polygon(2), rep_path)
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "lipschitz", "--rho", str(rep_path), "--sigma", str(rep_path),
+        "--max-word-len", "5089",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: scanning to depth 5089 goes over the cap")
+    assert "Traceback" not in err
+
+
+def _unclosed_rep():
+    """The g=2 polygon conjugated by diag(1e6, 1e-6) R(0.7): steep enough
+    that its relator misses by about 1.8e-2, though its Euler class
+    still reads -2 with an integrality residual near 4e-16."""
+    conj = reps.Moebius([[1e6, 0.0], [0.0, 1e-6]]) * reps.Moebius.rotation(0.7)
+    return reps.conjugate(reps.fuchsian_regular_polygon(2), conj)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["euler", "--rep", "{steep}"],
+        ["lipschitz", "--rho", "{steep}", "--sigma", "{steep}", "--max-word-len", "3"],
+        ["lipschitz", "--rho", "{clean}", "--sigma", "{steep}", "--max-word-len", "2"],
+    ],
+    ids=["euler", "lipschitz-rho", "lipschitz-sigma"],
+)
+def test_commands_reading_a_rep_gate_its_relator(tmp_path, capsys, argv):
+    steep, clean = tmp_path / "steep.json", tmp_path / "clean.json"
+    save_representation(_unclosed_rep(), steep)
+    save_representation(reps.fuchsian_regular_polygon(2), clean)
+    residual = reps.relator_residual(reps.load_representation(steep))
+    assert residual > 100 * reps.RELATOR_TOLERANCE
+    code, out, err = run_cli(
+        capsys, *(arg.format(steep=steep, clean=clean) for arg in argv)
+    )
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"verification failure: generators in {steep} do not close: relator "
+        f"residual {residual:.3e} exceeds tolerance {reps.RELATOR_TOLERANCE}\n"
+    )
 
 
 # ----------------------------------------------------------------- verify

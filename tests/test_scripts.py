@@ -46,8 +46,10 @@ def test_script_rejects_genus_below_two(capsys, name, genus):
         ("12", None, "over the cap of 10000000"),
         ("3", "100", "over the cap of 100"),
         ("3", "many", "ADSVOL_MAX_WORDS must be an integer"),
+        # a word count of over 4300 digits, past int-to-str conversion
+        ("6000", None, "over the cap of 10000000"),
     ],
-    ids=["zero", "negative", "default-cap", "env-cap", "malformed-cap"],
+    ids=["zero", "negative", "default-cap", "env-cap", "malformed-cap", "huge-depth"],
 )
 def test_lipschitz_growth_rejects_bad_depth_before_scanning(
     capsys, monkeypatch, depth, env, message
