@@ -47,8 +47,8 @@ _EXPORTS = {
         "omega", "volume_form",
     ),
     "reps": (
-        "Moebius", "Representation", "SurfaceGroup", "Word", "elem_type",
-        "euler_class", "evaluate", "fuchsian_regular_polygon",
+        "Moebius", "Representation", "SurfaceGroup", "Word", "euler_class",
+        "evaluate", "fuchsian_regular_polygon",
         "load_representation", "relator_residual", "save_representation",
         "translation_length", "trivial_representation",
     ),

@@ -5,12 +5,13 @@ payload is a single JSON document; human-readable summaries go to
 stderr.  Exit codes are a stable contract:
 
     0  success
-    1  verification failure (a failed `verify` check, or generators, built
-       by `rep` or read by `euler` or `lipschitz`, whose relator residual
-       exceeds reps.RELATOR_TOLERANCE)
+    1  verification failure (a failed `verify` check, or generators built
+       by `rep` whose relator residual exceeds reps.RELATOR_TOLERANCE)
     2  input error (including unknown flags, via argparse)
     3  I/O error
-    4  Euler-class integrality failure
+    4  no Euler class can be read: a representation's relator does not
+       close within reps.RELATOR_TOLERANCE (the gate of `reps.euler_class`,
+       which `rep`, `euler` and `lipschitz` call)
 
 Each handler only computes: it returns its stdout payload, its stderr
 summary and its exit code, and `main` alone writes them.  Each handler
@@ -73,25 +74,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_relator(rep, label: str) -> float:
-    """The relator residual of `rep`, or a VerificationError naming
-    `label` when it exceeds reps.RELATOR_TOLERANCE (read at call time)."""
-    from . import reps
-
-    residual = reps.relator_residual(rep)
-    if not residual <= reps.RELATOR_TOLERANCE:
-        raise VerificationError(
-            f"{label} do not close: relator residual {residual:.3e} exceeds "
-            f"tolerance {reps.RELATOR_TOLERANCE}"
-        )
-    return residual
-
-
 def run_rep(args) -> tuple:
     from . import reps
 
     rep = reps.fuchsian_regular_polygon(args.genus)
-    residual = _check_relator(rep, f"genus {args.genus} generators")
+    residual = reps.relator_residual(rep)
+    if not residual <= reps.RELATOR_TOLERANCE:
+        raise VerificationError(
+            f"genus {args.genus} generators do not close: relator residual "
+            f"{residual:.3e} exceeds tolerance {reps.RELATOR_TOLERANCE}"
+        )
     euler, euler_residual = reps.euler_class(rep)
     reps.save_representation(rep, args.out)
     payload = {
@@ -112,7 +104,6 @@ def run_euler(args) -> tuple:
 
     rep = reps.load_representation(args.rep)
     euler, residual = reps.euler_class(rep)
-    _check_relator(rep, f"generators in {args.rep}")
     summary = f"euler class {euler}, integrality residual {residual:.3e}"
     return {"euler": euler, "residual": residual}, summary, EXIT_OK
 
@@ -123,8 +114,6 @@ def run_lipschitz(args) -> tuple:
     rho = reps.load_representation(args.rho)
     sigma = reps.load_representation(args.sigma)
     report = admissibility.admissibility_report(rho, sigma, max_len=args.max_word_len)
-    _check_relator(rho, f"generators in {args.rho}")
-    _check_relator(sigma, f"generators in {args.sigma}")
     summary = (
         f"lower bound {report.lipschitz.lower_bound:.12g} over "
         f"{report.lipschitz.words_scanned} words; verdict {report.verdict}"

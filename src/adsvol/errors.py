@@ -1,8 +1,7 @@
 """Exception types shared across the package, and its integer check.
 
 The CLI maps these onto its exit-code contract: verification failure
--> 1, bad input -> 2, I/O trouble -> 3, Euler-class integrality
-failure -> 4.
+-> 1, bad input -> 2, I/O trouble -> 3, no readable Euler class -> 4.
 """
 
 
@@ -17,13 +16,15 @@ def _require_int(name: str, value) -> None:
 
 
 class IntegralityError(RuntimeError):
-    """Lifted relator displacement is not within tolerance of an integer
-    multiple of pi, so no Euler class can be read off."""
+    """The relator of a representation does not close within
+    reps.RELATOR_TOLERANCE, so its lifted displacement need not round to
+    the right multiple of pi and no Euler class can be read off."""
 
 
 class VerificationError(RuntimeError):
-    """A computed result fails the gate that certifies it, e.g. generators
-    whose relator residual exceeds reps.RELATOR_TOLERANCE."""
+    """A computed result fails the gate that certifies it: a `verify`
+    check, or generators built by `adsvol rep` whose relator residual
+    exceeds reps.RELATOR_TOLERANCE."""
 
 
 class ConventionWarning(UserWarning):

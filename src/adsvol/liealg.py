@@ -46,10 +46,6 @@ METRIC_NORMALIZATION = Fraction(2)
 #: Signs of the reference frame vectors u1, u2, u3 under the metric.
 FRAME_SIGNS = (Fraction(1), Fraction(1), Fraction(-1))
 
-CAUSAL_SPACELIKE = "spacelike"
-CAUSAL_TIMELIKE = "timelike"
-CAUSAL_LIGHTLIKE = "lightlike"
-
 #: omega = OMEGA_VOLUME_RATIO * volume_form, frozen after being computed
 #: by the brute-force oracle in the tests: omega(u1, u2, u3) = -2 while
 #: volume_form(u1, u2, u3) = 1.
@@ -187,16 +183,6 @@ def metric(x: LieElement, y: LieElement) -> Fraction:
     return METRIC_NORMALIZATION * trace2(x, y)
 
 
-def causal_type(x: LieElement) -> str:
-    """Spacelike, timelike or lightlike by the sign of metric(x, x)."""
-    q = metric(x, x)
-    if q > 0:
-        return CAUSAL_SPACELIKE
-    if q < 0:
-        return CAUSAL_TIMELIKE
-    return CAUSAL_LIGHTLIKE
-
-
 def omega(x: LieElement, y: LieElement, z: LieElement) -> Fraction:
     """Alternating 3-form tr(ad_x ad_[y,z]) = killing(x, [y, z])."""
     return killing(x, bracket(y, z))
@@ -295,10 +281,6 @@ class OrientedFrame:
                 )
         if volume_form(*vs) != 1:
             raise InputError("frame is not positively oriented")
-
-    @property
-    def causal_types(self) -> tuple:
-        return (CAUSAL_SPACELIKE, CAUSAL_SPACELIKE, CAUSAL_TIMELIKE)
 
     @classmethod
     def reference(cls) -> "OrientedFrame":

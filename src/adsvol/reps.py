@@ -2,7 +2,8 @@
 
 This module is deliberately floating-point: representations live in
 double precision, and the Euler class is read as an integer from the
-relator lifted to the universal cover, with an explicit integrality gate.
+relator lifted to the universal cover, behind one gate on how closely
+the relator closes.
 Exact arithmetic stays in `liealg` / `forms` / `invariants`.
 
 Conventions
@@ -28,6 +29,9 @@ Conventions
   lifted relator at the line of angle 0 and divides by pi.  With these
   conventions the regular-polygon Fuchsian representation of genus g has
   Euler class -(2g - 2); e.g. fuchsian_regular_polygon(2) -> -2.
+* euler_class has one gate, on the relator: it refuses a representation
+  whose relator product lies farther than RELATOR_TOLERANCE from the
+  identity, and the integrality residual it returns only reports.
 """
 
 from __future__ import annotations
@@ -42,10 +46,25 @@ from .errors import InputError, IntegralityError
 
 DET_TOLERANCE = 1e-6
 TYPE_TOLERANCE = 1e-9
-EULER_TOLERANCE = 1e-6
-#: Largest relator residual at which `adsvol rep` writes its generators;
-#: the library's relator_residual only reports.
+#: Largest distance of the relator from the identity at which euler_class
+#: reads a class and `adsvol rep` writes its generators; the library's
+#: relator_residual only reports.
 RELATOR_TOLERANCE = 1e-4
+
+
+def _unit_distance(x, y) -> float:
+    """Frobenius distance, up to sign, of two row-major 2x2 matrices
+    given as 4-sequences, each first scaled to unit Frobenius norm."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    nx = math.hypot(x0, x1, x2, x3)
+    ny = math.hypot(y0, y1, y2, y3)
+    x0, x1, x2, x3 = x0 / nx, x1 / nx, x2 / nx, x3 / nx
+    y0, y1, y2, y3 = y0 / ny, y1 / ny, y2 / ny, y3 / ny
+    return min(
+        math.hypot(x0 - y0, x1 - y1, x2 - y2, x3 - y3),
+        math.hypot(x0 + y0, x1 + y1, x2 + y2, x3 + y3),
+    )
 
 
 def _adjugate(m: np.ndarray) -> np.ndarray:
@@ -109,9 +128,7 @@ class Moebius:
         Each matrix is rescaled to unit Frobenius norm before comparing;
         det-based normalisation is too noisy here because det = ad - bc
         cancels catastrophically for large-entry products."""
-        a = self.mat / np.linalg.norm(self.mat)
-        b = other.mat / np.linalg.norm(other.mat)
-        return float(min(np.linalg.norm(a - b), np.linalg.norm(a + b)))
+        return _unit_distance(self.mat.ravel().tolist(), other.mat.ravel().tolist())
 
     def close_to(self, other: "Moebius") -> bool:
         """Equal in PSL(2, R) up to TYPE_TOLERANCE in dist_mod_sign."""
@@ -119,23 +136,6 @@ class Moebius:
 
     def __repr__(self) -> str:
         return f"Moebius({self.mat.tolist()!r})"
-
-
-ELEM_IDENTITY = "identity"
-ELEM_ELLIPTIC = "elliptic"
-ELEM_PARABOLIC = "parabolic"
-ELEM_HYPERBOLIC = "hyperbolic"
-
-
-def elem_type(m: Moebius) -> str:
-    """Classify by |trace| within TYPE_TOLERANCE: < 2 elliptic, > 2
-    hyperbolic, = 2 parabolic or the identity (decided by close_to)."""
-    t = abs(m.trace)
-    if abs(t - 2.0) <= TYPE_TOLERANCE:
-        if m.close_to(Moebius.identity()):
-            return ELEM_IDENTITY
-        return ELEM_PARABOLIC
-    return ELEM_ELLIPTIC if t < 2.0 else ELEM_HYPERBOLIC
 
 
 def translation_length(m: Moebius) -> float:
@@ -184,12 +184,6 @@ class Word:
                 stack.append(x)
         return cls(tuple(stack))
 
-    def inverse(self) -> "Word":
-        return Word(tuple(-x for x in reversed(self.letters)))
-
-    def __mul__(self, other: "Word") -> "Word":
-        return Word.reduced(self.letters + other.letters)
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -219,10 +213,6 @@ class SurfaceGroup:
     @property
     def rank(self) -> int:
         return 2 * self.genus
-
-    @property
-    def euler_characteristic(self) -> int:
-        return 2 - 2 * self.genus
 
 
 @dataclass(frozen=True)
@@ -271,7 +261,7 @@ def evaluate(rep: Representation, word: Word) -> Moebius:
 def relator_residual(rep: Representation) -> float:
     """Distance (mod sign) of the evaluated surface relator from the
     identity; reported, never rejected (`adsvol rep` gates it against
-    RELATOR_TOLERANCE)."""
+    RELATOR_TOLERANCE, as euler_class gates its own relator product)."""
     return evaluate(rep, relator_word(rep.genus)).dist_mod_sign(Moebius.identity())
 
 
@@ -376,13 +366,18 @@ def euler_class(rep: Representation) -> tuple:
     there rather than at theta(relator) keeps drift in the relator's
     upper-right entry, which fixes that line, out of the gate.
 
-    residual is the distance of that ratio from the integer; when it
-    exceeds EULER_TOLERANCE the representation has no readable Euler
-    class and an IntegralityError is raised.  The relator is a product of
-    commutators, so the integer does not depend on the lift chosen for
-    each letter; it is conjugation invariant, changes sign under
-    orientation reversal, and is bounded by 2g - 2 in magnitude
-    (Milnor-Wood) whenever the relator genuinely closes up."""
+    The one gate is on the relator: when the product R of the relator's
+    letters lies farther than RELATOR_TOLERANCE (read at call time) from
+    the identity in unit-norm distance mod sign, or that distance is not
+    a number, the representation has no readable Euler class and an
+    IntegralityError is raised.  Within distance 1/sqrt(2), u^T R u > 0
+    for every unit vector u (for the sign of R nearer the identity), so
+    R moves every line by less than pi/2 and the rounding is exact;
+    residual, the distance of the ratio from the integer, only reports.
+    The relator is a product of commutators,
+    so the integer does not depend on the lift chosen for each letter; it
+    is conjugation invariant, changes sign under orientation reversal,
+    and is bounded by 2g - 2 in magnitude (Milnor-Wood)."""
     acc = np.eye(2)
     angle = turn = 0.0  # angle is _polar_angle(acc)
     for letter in relator_word(rep.genus):
@@ -396,15 +391,16 @@ def euler_class(rep: Representation) -> tuple:
         acc = acc.dot(g)
         previous, angle = angle, _polar_angle(acc)
         turn += step + _wrap(angle - previous - step)
+    closure = _unit_distance(acc.ravel().tolist(), (1.0, 0.0, 0.0, 1.0))
+    if not closure <= RELATOR_TOLERANCE:
+        raise IntegralityError(
+            f"relator residual {closure:.3e} exceeds tolerance {RELATOR_TOLERANCE}, "
+            "so no Euler class can be read"
+        )
     turn += _wrap(math.atan2(acc[1, 0], acc[0, 0]) - angle)
     ratio = turn / math.pi
     nearest = round(ratio)
     residual = abs(ratio - nearest)
-    if residual > EULER_TOLERANCE:
-        raise IntegralityError(
-            f"lifted relator displacement {ratio} pi is not within {EULER_TOLERANCE} of "
-            "an integer; representation is too far from the relation"
-        )
     return nearest, residual
 
 

@@ -49,6 +49,29 @@ def make_steep_conjugate_rep():
     return reps.conjugate(reps.fuchsian_regular_polygon(3), conj)
 
 
+def make_steep_g6_rep():
+    """The genus-6 polygon conjugated by R(a) diag(k, 1/k) R(b) with
+    k = 19.6: its relator closes to 7.0e-5, inside RELATOR_TOLERANCE,
+    and its lifted displacement is 2.6e-5 from the Euler class -10."""
+    k = 19.605932591709973
+    conj = (
+        reps.Moebius.rotation(1.7792134278210545)
+        * reps.Moebius([[k, 0.0], [0.0, 1.0 / k]])
+        * reps.Moebius.rotation(2.9942454409813113)
+    )
+    return reps.conjugate(reps.fuchsian_regular_polygon(6), conj)
+
+
+def make_mild_g50_rep():
+    """The genus-50 polygon conjugated by [[1, u], [v, 1.5]], u and v
+    the first two draws of random.Random(1).uniform(-1, 1): its relator
+    closes to 1.7e-5 and its lifted displacement is 2.5e-6 from -98."""
+    draws = random.Random(1)
+    u, v = draws.uniform(-1, 1), draws.uniform(-1, 1)
+    conj = reps.Moebius([[1.0, u], [v, 1.5]])
+    return reps.conjugate(reps.fuchsian_regular_polygon(50), conj)
+
+
 def make_pinched_rep(genus):
     """sigma(a_i) = R_i diag(e^1/2, e^-1/2) R_i^-1 with fixed rotations
     R_i, sigma(b_i) = 1: every commutator is trivial, Euler class 0, and

@@ -1,14 +1,15 @@
 """End-to-end CLI contract: JSON stdout, stderr summaries, exit codes."""
 
 import json
+import re
 import time
 from fractions import Fraction
 
 import pytest
 
-from adsvol import cli, forms, invariants, liealg, reps
+from adsvol import admissibility, cli, forms, invariants, liealg, reps
 from adsvol.reps import save_representation
-from conftest import make_noncommuting_bad_rep, make_steep_conjugate_rep
+from conftest import make_noncommuting_bad_rep, make_steep_conjugate_rep, make_steep_g6_rep
 
 
 def run_cli(capsys, *argv):
@@ -188,6 +189,32 @@ def test_euler_steep_conjugate_exits_zero(tmp_path, capsys):
     assert payload["residual"] <= 1e-6
 
 
+def test_euler_reads_a_steep_conjugate_whose_relator_closes(tmp_path, capsys):
+    path = tmp_path / "steep6.json"
+    save_representation(make_steep_g6_rep(), path)
+    code, out, _ = run_cli(capsys, "euler", "--rep", str(path))
+    assert code == 0
+    payload = parse_single_json(out)
+    assert payload["euler"] == -10
+    assert payload["residual"] <= reps.RELATOR_TOLERANCE
+
+
+def test_euler_overflowing_relator_exits_four(tmp_path, capsys):
+    """Entries of 1e200 overflow the relator product to inf and nan; the
+    gate refuses a distance that is not a number."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"genus": 2, "generators": [
+        [[1e200, 0.0], [0.0, 1e-200]], [[0.0, -1.0], [1.0, 0.0]],
+        [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]],
+    ]}))
+    with pytest.warns(RuntimeWarning):
+        code, out, err = run_cli(capsys, "euler", "--rep", str(path))
+    assert code == 4
+    assert out == ""
+    assert "integrality failure: relator residual nan exceeds tolerance" in err
+    assert "Traceback" not in err
+
+
 # -------------------------------------------------------------- lipschitz
 
 
@@ -242,8 +269,9 @@ def test_lipschitz_depth_past_the_cap_exits_two_at_once(tmp_path, capsys):
 
 def _unclosed_rep():
     """The g=2 polygon conjugated by diag(1e6, 1e-6) R(0.7): steep enough
-    that its relator misses by about 1.8e-2, though its Euler class
-    still reads -2 with an integrality residual near 4e-16."""
+    that its relator misses by about 1.8e-2, though its lifted
+    displacement still rounds to -2 with an integrality residual near
+    4e-16; euler_class refuses it on the relator."""
     conj = reps.Moebius([[1e6, 0.0], [0.0, 1e-6]]) * reps.Moebius.rotation(0.7)
     return reps.conjugate(reps.fuchsian_regular_polygon(2), conj)
 
@@ -266,12 +294,30 @@ def test_commands_reading_a_rep_gate_its_relator(tmp_path, capsys, argv):
     code, out, err = run_cli(
         capsys, *(arg.format(steep=steep, clean=clean) for arg in argv)
     )
-    assert code == 1
+    assert code == 4
     assert out == ""
-    assert err == (
-        f"verification failure: generators in {steep} do not close: relator "
-        f"residual {residual:.3e} exceeds tolerance {reps.RELATOR_TOLERANCE}\n"
+    # the residual named is that of the relator product euler_class builds
+    match = re.fullmatch(
+        rf"integrality failure: relator residual (\S+) exceeds tolerance "
+        rf"{re.escape(str(reps.RELATOR_TOLERANCE))}, so no Euler class can be read\n",
+        err,
     )
+    assert match
+    assert residual / 2 <= float(match[1]) <= residual * 2
+
+
+def test_lipschitz_refuses_an_unclosed_file_before_scanning(tmp_path, capsys, monkeypatch):
+    def no_scan(*_args, **_kwargs):
+        raise AssertionError("the scan ran on a representation that does not close")
+
+    monkeypatch.setattr(admissibility, "lipschitz_lower_bound", no_scan)
+    steep = tmp_path / "steep.json"
+    save_representation(_unclosed_rep(), steep)
+    code, out, _ = run_cli(
+        capsys, "lipschitz", "--rho", str(steep), "--sigma", str(steep), "--max-word-len", "8"
+    )
+    assert code == 4
+    assert out == ""
 
 
 # ----------------------------------------------------------------- verify

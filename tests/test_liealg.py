@@ -25,7 +25,6 @@ from _oracles import (
     oracle_omega,
     oracle_signature,
 )
-from adsvol import liealg
 from adsvol.errors import InputError
 from adsvol.forms import ScalarForm
 from adsvol.liealg import (
@@ -46,7 +45,6 @@ from adsvol.liealg import (
     adjoint_action,
     as_fraction,
     bracket,
-    causal_type,
     frame_coords,
     gram_matrix,
     killing,
@@ -367,26 +365,6 @@ def test_rational_signature_rejects_non_symmetric_input():
         rational_signature(((1, 2), (3, 1)))
 
 
-def test_causal_types():
-    assert causal_type(H) == liealg.CAUSAL_SPACELIKE
-    assert causal_type(E) == liealg.CAUSAL_LIGHTLIKE
-    assert causal_type(U3) == liealg.CAUSAL_TIMELIKE
-
-
-@given(elements)
-@pin_edges()
-def test_causal_type_matches_gram_quadratic_form(x):
-    # oracle: the sign of x^T G x with G = gram_matrix() on (H, E, F)
-    g = gram_matrix()
-    q = sum(x.coords[i] * g[i][j] * x.coords[j] for i in range(3) for j in range(3))
-    want = (
-        liealg.CAUSAL_SPACELIKE if q > 0
-        else liealg.CAUSAL_TIMELIKE if q < 0
-        else liealg.CAUSAL_LIGHTLIKE
-    )
-    assert causal_type(x) == want
-
-
 @given(elements)
 @pin_edges()
 def test_frame_and_metric_coords_agree(x):
@@ -447,11 +425,6 @@ def test_omega_volume_ratio_frozen(x, y, z):
 def test_reference_frame_is_valid():
     frame = OrientedFrame.reference()
     assert frame.vectors == REFERENCE_FRAME
-    assert frame.causal_types == (
-        liealg.CAUSAL_SPACELIKE,
-        liealg.CAUSAL_SPACELIKE,
-        liealg.CAUSAL_TIMELIKE,
-    )
 
 
 def test_oriented_frame_rejects_bad_input():

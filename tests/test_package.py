@@ -28,7 +28,7 @@ EXPORTS = (
     "geometry_calibration", "unit_tangent_volume", "vol_from_cs", "volume",
     "LieElement", "OrientedFrame", "adjoint", "bracket", "killing", "metric",
     "omega", "volume_form", "Moebius", "Representation",
-    "SurfaceGroup", "Word", "elem_type", "euler_class", "evaluate",
+    "SurfaceGroup", "Word", "euler_class", "evaluate",
     "fuchsian_regular_polygon", "load_representation", "relator_residual",
     "save_representation", "translation_length", "trivial_representation",
 )

@@ -15,7 +15,6 @@ from adsvol.reps import (
     SurfaceGroup,
     Word,
     conjugate,
-    elem_type,
     euler_class,
     evaluate,
     fuchsian_regular_polygon,
@@ -28,7 +27,12 @@ from adsvol.reps import (
     translation_length,
     trivial_representation,
 )
-from conftest import make_noncommuting_bad_rep, make_steep_conjugate_rep
+from conftest import (
+    make_mild_g50_rep,
+    make_noncommuting_bad_rep,
+    make_steep_conjugate_rep,
+    make_steep_g6_rep,
+)
 
 
 # --------------------------------------------------------------- moebius
@@ -73,14 +77,7 @@ def test_dist_mod_sign_ignores_sign():
     assert a.dist_mod_sign(b) <= 1e-12
 
 
-# ------------------------------------------------------- classification
-
-
-def test_elem_type_worked_examples():
-    assert elem_type(Moebius.identity()) == reps.ELEM_IDENTITY
-    assert elem_type(Moebius.rotation(0.5)) == reps.ELEM_ELLIPTIC
-    assert elem_type(Moebius([[1.0, 1.0], [0.0, 1.0]])) == reps.ELEM_PARABOLIC
-    assert elem_type(Moebius([[2.0, 0.0], [0.0, 0.5]])) == reps.ELEM_HYPERBOLIC
+# ---------------------------------------------------- translation length
 
 
 def test_translation_length_worked_examples():
@@ -114,9 +111,8 @@ def test_word_requires_reduced_letters():
 def test_word_reduction_and_group_ops():
     w = Word.reduced((1, 2, -2, -1, 3))
     assert w.letters == (3,)
+    assert Word.reduced((1, 2, -2, -1)).letters == ()
     u = Word((1, 2))
-    assert u.inverse().letters == (-2, -1)
-    assert (u * u.inverse()).letters == ()
     assert len(u) == 2
     assert list(u) == [1, 2]
 
@@ -129,7 +125,7 @@ def test_relator_word_shape():
 
 def test_surface_group_validation():
     assert SurfaceGroup(2).rank == 4
-    assert SurfaceGroup(3).euler_characteristic == -4
+    assert SurfaceGroup(3).rank == 6
     with pytest.raises(InputError):
         SurfaceGroup(1)
 
@@ -174,7 +170,7 @@ def test_evaluate_is_homomorphism(fuchsian_g2, rng):
         u = Word.reduced(rng.choices(letters, k=5))
         v = Word.reduced(rng.choices(letters, k=5))
         product = evaluate(fuchsian_g2, u) * evaluate(fuchsian_g2, v)
-        joined = evaluate(fuchsian_g2, u * v)
+        joined = evaluate(fuchsian_g2, Word.reduced(u.letters + v.letters))
         assert product.dist_mod_sign(joined) <= 1e-10
 
 
@@ -199,7 +195,6 @@ def test_fuchsian_polygon_representation(genus):
     assert relator_residual(rep) < 1e-9
     expected_trace = 2.0 + 2.0 * math.cos(math.pi / (2 * genus))
     for image in rep.images:
-        assert elem_type(image) == reps.ELEM_HYPERBOLIC
         assert abs(abs(image.trace) - expected_trace) < 1e-9
 
 
@@ -243,12 +238,23 @@ def test_euler_class_high_genus_polygon():
     assert residual <= 1e-6
 
 
-def test_euler_class_steep_conjugate():
-    rep = make_steep_conjugate_rep()
-    assert relator_residual(rep) < 1e-6
+@pytest.mark.parametrize(
+    "build, euler, bound",
+    [
+        (make_steep_conjugate_rep, -4, 1e-6),
+        (make_steep_g6_rep, -10, reps.RELATOR_TOLERANCE),
+        (make_mild_g50_rep, -98, reps.RELATOR_TOLERANCE),
+    ],
+    ids=["g3", "g6", "g50"],
+)
+def test_euler_class_steep_conjugate(build, euler, bound):
+    """Every conjugate whose relator closes within the bound is read, and
+    its integrality residual stays within the same bound."""
+    rep = build()
+    assert relator_residual(rep) < bound
     e, residual = euler_class(rep)
-    assert e == -4
-    assert residual <= 1e-6
+    assert e == euler
+    assert residual <= bound
 
 
 def test_euler_class_half_turn_generators_vanish():
@@ -314,6 +320,12 @@ def test_euler_class_milnor_wood(fuchsian_g2, fuchsian_g3):
 def test_euler_class_integrality_gate():
     with pytest.raises(IntegralityError):
         euler_class(make_noncommuting_bad_rep())
+
+
+def test_euler_class_reads_relator_tolerance_at_call_time(fuchsian_g2, monkeypatch):
+    monkeypatch.setattr(reps, "RELATOR_TOLERANCE", 0.0)
+    with pytest.raises(IntegralityError, match="exceeds tolerance 0.0"):
+        euler_class(fuchsian_g2)
 
 
 # ------------------------------------------------------------- JSON I/O
