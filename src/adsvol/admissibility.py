@@ -14,11 +14,13 @@ maximal |Euler class| for sigma refutes independently: sigma would sit
 in a Fuchsian component rather than being strictly dominated.
 
 A word is scored by its trace alone, so the scan is one step, taken
-from the empty word over bounded blocks walked depth-first: it scores a
-block's one-letter extensions from the diagonal entries of their
-products, and multiplies out the rest only for words it will extend
-again.  Memory stays O(block size x cutoff), so the word cap bounds
-time only, and ties go to the shortlex-least word.
+from the empty word over bounded blocks walked depth-first: it forms a
+block's extensions by every letter as one (words x 4g) grid, scores the
+grid from the diagonal entries with the inverse-letter cells masked
+out, and only for words it will extend again multiplies out the rest
+and gathers the reduced ones, once per level.  Memory stays O(block
+size x cutoff), so the word cap bounds time only, and ties go to the
+shortlex-least word.
 """
 
 from __future__ import annotations
@@ -106,28 +108,31 @@ def _flat_generators(rep: Representation) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def _ratios(rho_m: np.ndarray, sigma_m: np.ndarray) -> np.ndarray:
-    """ell(sigma) / ell(rho) per row, ell = 2 arccosh(|tr| / 2) or 0 if not
-    hyperbolic; -1 where the rho-length does not clear DENOMINATOR_FLOOR."""
-    half = np.abs([m[:, 0] + m[:, 3] for m in (rho_m, sigma_m)]) / 2.0
+def _ratios(rho_tr, sigma_tr, mask) -> np.ndarray:
+    """Per cell of two grids of traces, ell(sigma) / ell(rho) with
+    ell = 2 arccosh(|tr| / 2), or 0 if not hyperbolic; -1 outside `mask`
+    and where the rho-length does not clear DENOMINATOR_FLOOR."""
+    half = np.abs([rho_tr, sigma_tr]) / 2.0
     lengths = np.zeros_like(half)
     np.arccosh(half, out=lengths, where=half > 1.0)
     lengths *= 2.0
     rho_len, sigma_len = lengths
     out = np.full_like(rho_len, -1.0)
-    return np.divide(sigma_len, rho_len, out=out, where=rho_len > DENOMINATOR_FLOOR)
+    scored = mask & (rho_len > DENOMINATOR_FLOOR)
+    return np.divide(sigma_len, rho_len, out=out, where=scored)
 
 
-def _extend(prods, table, mask, entries) -> np.ndarray:
+def _extend(prods, table, entries) -> list:
     """Row-major entries k = 2i + j of each product times each generator,
-    for the (row, letter) pairs in `mask`, written out by hand as in a 2x2
-    product; the entries not asked for are left unset."""
-    out = np.empty((np.count_nonzero(mask), 4))
+    one (m, 4g) grid per k in `entries`, written out by hand as in a 2x2
+    product."""
+    grids = []
     for k in entries:
         i, j = divmod(k, 2)
-        head, tail = prods[:, 2 * i, None], prods[:, 2 * i + 1, None]
-        out[:, k] = (head * table[:, j] + tail * table[:, 2 + j])[mask]
-    return out
+        e = prods[:, 2 * i, None] * table[:, j]
+        e += prods[:, 2 * i + 1, None] * table[:, 2 + j]
+        grids.append(e)
+    return grids
 
 
 def _scan(rho_table, sigma_table, max_len, genus):
@@ -135,18 +140,21 @@ def _scan(rho_table, sigma_table, max_len, genus):
     plus the number of words scanned.
 
     One step does the work.  Visiting a block of words, with their rho
-    and sigma products as (m, 4) arrays, scores their extensions by each
-    letter `mask` allows (all but the inverse of a word's last letter).
-    A ratio needs only traces, so the step always computes the two
-    diagonal entries of the extensions, and the off-diagonal ones only
-    when they will be extended again.  The root block is the empty word:
-    the identity, with every letter allowed.  The extensions are cut
-    into blocks of at most _BLOCK_ROWS // (4g - 1) words, each visited
-    to full depth before the next, so live memory is O(_BLOCK_ROWS *
-    max_len).  Words of equal length are met in shortlex order, so a
-    later maximum replaces the best only when it is larger, or equal and
-    shorter.  Products accumulate left to right in plain float
-    arithmetic, so the blocking does not change a single rounding."""
+    and sigma products as (m, 4) arrays, it forms their extensions by
+    every letter on the full (m, 4g) grid and scores the grid; a cell
+    outside `mask` (the inverse of a word's last letter) reads -1, so
+    the row-major argmax is the first best reduced word, and cell i is
+    (row, letter) = divmod(i, 4g).  A ratio needs only traces, so the
+    step always computes the two diagonal entries of the extensions,
+    and the off-diagonal ones only when they will be extended again;
+    only then are the kept cells gathered, once per level.  The root
+    block is the empty word: the identity, with every letter allowed.
+    The extensions are cut into blocks of at most _BLOCK_ROWS // (4g - 1)
+    words, each visited to full depth before the next, so live memory is
+    O(_BLOCK_ROWS * max_len).  Words of equal length are met in shortlex
+    order, so a later maximum replaces the best only when it is larger,
+    or equal and shorter.  Products accumulate left to right in plain
+    float arithmetic, so the blocking does not change a single rounding."""
     order = letter_order(genus)
     n = len(order)
     alphabet = np.arange(n, dtype=np.min_scalar_type(n))
@@ -159,22 +167,27 @@ def _scan(rho_table, sigma_table, max_len, genus):
         nonlocal best_ratio, best_witness, scanned
         length = letters.shape[1] + 1
         entries = range(4) if length < max_len else (0, 3)
-        rho_m = _extend(rho_m, rho_table, mask, entries)
-        sigma_m = _extend(sigma_m, sigma_table, mask, entries)
-        scanned += len(rho_m)
-        ratio = _ratios(rho_m, sigma_m)
+        rho_grid = _extend(rho_m, rho_table, entries)
+        sigma_grid = _extend(sigma_m, sigma_table, entries)
+        scanned += int(np.count_nonzero(mask))
+        ratio = _ratios(
+            rho_grid[0] + rho_grid[-1], sigma_grid[0] + sigma_grid[-1], mask
+        )
         i = int(np.argmax(ratio))
-        r = float(ratio[i])
+        r = float(ratio.flat[i])
         if r >= 0.0 and (
             best_witness is None
             or r > best_ratio
             or (r == best_ratio and length < len(best_witness))
         ):
             best_ratio = r
-            row, last = divmod(int(np.flatnonzero(mask)[i]), n)
+            row, last = divmod(i, n)
             best_witness = tuple(order[j] for j in (*letters[row], last))
         if length == max_len:
             return
+        rho_m = np.stack([e[mask] for e in rho_grid], axis=1)
+        sigma_m = np.stack([e[mask] for e in sigma_grid], axis=1)
+        del rho_grid, sigma_grid, ratio
         letters = np.column_stack((
             np.repeat(letters, np.count_nonzero(mask, axis=1), axis=0),
             np.broadcast_to(alphabet, mask.shape)[mask],

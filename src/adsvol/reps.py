@@ -380,17 +380,20 @@ def euler_class(rep: Representation) -> tuple:
     and is bounded by 2g - 2 in magnitude (Milnor-Wood)."""
     acc = np.eye(2)
     angle = turn = 0.0  # angle is _polar_angle(acc)
-    for letter in relator_word(rep.genus):
-        # an inverse letter is the adjugate of the stored matrix, not a
-        # renormalised Moebius: sign normalisation maps a trace-zero
-        # inverse back to the letter itself, whose polar angle is +pi/2
-        # where its inverse's must be -pi/2
-        m = rep.images[abs(letter) - 1].mat
-        g = m if letter > 0 else _adjugate(m)
-        step = _polar_angle(g)
-        acc = acc.dot(g)
-        previous, angle = angle, _polar_angle(acc)
-        turn += step + _wrap(angle - previous - step)
+    # a product that overflows to inf or nan fails the gate below, so
+    # numpy's warnings about it would only repeat the refusal
+    with np.errstate(over="ignore", invalid="ignore"):
+        for letter in relator_word(rep.genus):
+            # an inverse letter is the adjugate of the stored matrix, not a
+            # renormalised Moebius: sign normalisation maps a trace-zero
+            # inverse back to the letter itself, whose polar angle is +pi/2
+            # where its inverse's must be -pi/2
+            m = rep.images[abs(letter) - 1].mat
+            g = m if letter > 0 else _adjugate(m)
+            step = _polar_angle(g)
+            acc = acc.dot(g)
+            previous, angle = angle, _polar_angle(acc)
+            turn += step + _wrap(angle - previous - step)
     closure = _unit_distance(acc.ravel().tolist(), (1.0, 0.0, 0.0, 1.0))
     if not closure <= RELATOR_TOLERANCE:
         raise IntegralityError(

@@ -193,3 +193,71 @@ def shortlex_key(letters, genus):
         rank[i] = 2 * i - 2
         rank[-i] = 2 * i - 1
     return (len(letters), tuple(rank[x] for x in letters))
+
+
+def masked_reference_scan(rho_table, sigma_table, max_len, genus, block_rows, floor):
+    """The Lipschitz-ratio word scan in its masked-gather form, as a
+    bitwise reference for `admissibility._scan`: (best ratio, witness
+    letters or None, words scanned).
+
+    The tables are `admissibility._flat_generators` output.  Each level
+    forms every (row, letter) entry of the extensions, gathers the kept
+    pairs with the boolean mask once per entry and scores only the
+    gathered words.  The arithmetic per entry and the np.arccosh calls
+    are those of the library, so the two agree bit for bit on every CPU."""
+    order = []
+    for i in range(1, 2 * genus + 1):
+        order += [i, -i]
+    n = len(order)
+    alphabet = np.arange(n, dtype=np.min_scalar_type(n))
+    keep = alphabet[None, :] != (alphabet ^ 1)[:, None]
+    step = max(1, block_rows // (n - 1))
+    best = {"ratio": 0.0, "witness": None, "scanned": 0}
+
+    def extend(prods, table, mask, entries):
+        out = np.empty((np.count_nonzero(mask), 4))
+        for k in entries:
+            i, j = divmod(k, 2)
+            head, tail = prods[:, 2 * i, None], prods[:, 2 * i + 1, None]
+            out[:, k] = (head * table[:, j] + tail * table[:, 2 + j])[mask]
+        return out
+
+    def ratios(rho_m, sigma_m):
+        half = np.abs([m[:, 0] + m[:, 3] for m in (rho_m, sigma_m)]) / 2.0
+        lengths = np.zeros_like(half)
+        np.arccosh(half, out=lengths, where=half > 1.0)
+        lengths *= 2.0
+        rho_len, sigma_len = lengths
+        out = np.full_like(rho_len, -1.0)
+        return np.divide(sigma_len, rho_len, out=out, where=rho_len > floor)
+
+    def visit(rho_m, sigma_m, letters, mask):
+        length = letters.shape[1] + 1
+        entries = range(4) if length < max_len else (0, 3)
+        rho_m = extend(rho_m, rho_table, mask, entries)
+        sigma_m = extend(sigma_m, sigma_table, mask, entries)
+        best["scanned"] += len(rho_m)
+        ratio = ratios(rho_m, sigma_m)
+        i = int(np.argmax(ratio))
+        r = float(ratio[i])
+        if r >= 0.0 and (
+            best["witness"] is None
+            or r > best["ratio"]
+            or (r == best["ratio"] and length < len(best["witness"]))
+        ):
+            row, last = divmod(int(np.flatnonzero(mask)[i]), n)
+            best["ratio"] = r
+            best["witness"] = tuple(order[j] for j in (*letters[row], last))
+        if length == max_len:
+            return
+        letters = np.column_stack((
+            np.repeat(letters, np.count_nonzero(mask, axis=1), axis=0),
+            np.broadcast_to(alphabet, mask.shape)[mask],
+        ))
+        for lo in range(0, len(letters), step):
+            part = slice(lo, lo + step)
+            visit(rho_m[part], sigma_m[part], letters[part], keep[letters[part, -1]])
+
+    root = np.array([[1.0, 0.0, 0.0, 1.0]])
+    visit(root, root, np.empty((1, 0), alphabet.dtype), np.ones((1, n), bool))
+    return best["ratio"], best["witness"], best["scanned"]

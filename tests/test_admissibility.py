@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _oracles import naive_reduced_words, shortlex_key
+from _oracles import masked_reference_scan, naive_reduced_words, shortlex_key
 from conftest import make_pinched_rep
 from adsvol import admissibility, reps
 from adsvol.admissibility import (
@@ -266,12 +266,7 @@ def _arccosh_digest():
     return hashlib.sha256(out.tobytes()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("genus, target, max_len, bound, witness, scanned", GOLDEN)
-def test_scan_reproduces_the_golden_roundings(
-    genus, target, max_len, bound, witness, scanned
-):
-    if _arccosh_digest() != GOLDEN_ARCCOSH_DIGEST:
-        pytest.skip("np.arccosh rounds differently here from the golden capture")
+def _golden_pair(genus, target):
     rho = reps.fuchsian_regular_polygon(genus)
     sigma = {
         "conjugate": lambda: reps.conjugate(rho, Moebius([[1.3, 0.4], [0.1, 1.0]])),
@@ -279,6 +274,16 @@ def test_scan_reproduces_the_golden_roundings(
         "trivial": lambda: reps.trivial_representation(genus),
         "rho": lambda: rho,
     }[target]()
+    return rho, sigma
+
+
+@pytest.mark.parametrize("genus, target, max_len, bound, witness, scanned", GOLDEN)
+def test_scan_reproduces_the_golden_roundings(
+    genus, target, max_len, bound, witness, scanned
+):
+    if _arccosh_digest() != GOLDEN_ARCCOSH_DIGEST:
+        pytest.skip("np.arccosh rounds differently here from the golden capture")
+    rho, sigma = _golden_pair(genus, target)
     est = lipschitz_lower_bound(rho, sigma, max_len=max_len)
     assert (est.lower_bound.hex(), est.witness, est.words_scanned) == (
         bound,
@@ -286,6 +291,57 @@ def test_scan_reproduces_the_golden_roundings(
         scanned,
     )
     assert type(est.words_scanned) is int
+
+
+@pytest.mark.parametrize("block_rows", [admissibility._BLOCK_ROWS, 64])
+@pytest.mark.parametrize("genus, target, max_len", [case[:3] for case in GOLDEN])
+def test_grid_scan_matches_the_masked_reference(
+    genus, target, max_len, block_rows, monkeypatch
+):
+    # both scans call the same np.arccosh, so unlike the golden hex this
+    # holds on every CPU; 64 rows make blocks of 9 words at genus 2 and
+    # of 5 at genus 3
+    monkeypatch.setattr(admissibility, "_BLOCK_ROWS", block_rows)
+    rho, sigma = _golden_pair(genus, target)
+    est = lipschitz_lower_bound(rho, sigma, max_len=max_len)
+    ratio, witness, scanned = masked_reference_scan(
+        admissibility._flat_generators(rho),
+        admissibility._flat_generators(sigma),
+        max_len,
+        genus,
+        block_rows,
+        admissibility.DENOMINATOR_FLOOR,
+    )
+    assert (est.lower_bound.hex(), est.witness, est.words_scanned) == (
+        ratio.hex(),
+        Word(witness),
+        scanned,
+    )
+    assert type(est.words_scanned) is int
+
+
+def test_grid_ratios_read_minus_one_outside_the_scored_cells():
+    # traces of a 2 x 3 grid: cell (0, 1) would score highest but lies
+    # outside the mask; cell (1, 0)'s rho-length 4e-7 misses the floor;
+    # cells (0, 2) and (1, 1) tie at the largest scored ratio
+    rho_tr = np.array([[3.0, 3.0, 3.0], [2.0 * math.cosh(2e-7), 3.0, 3.0]])
+    sigma_tr = np.array([[2.5, 30.0, 5.0], [50.0, -5.0, 1.0]])
+    mask = np.array([[True, False, True], [True, True, True]])
+    ratio = admissibility._ratios(rho_tr, sigma_tr, mask)
+    assert ratio.shape == (2, 3)
+    assert ratio[0, 1] == -1.0
+    assert ratio[1, 0] == -1.0
+    assert ratio[1, 2] == 0.0  # an elliptic sigma-image has length 0
+    rho_len = math.acosh(1.5)
+    assert ratio[0, 0] == pytest.approx(math.acosh(1.25) / rho_len, rel=1e-14)
+    assert ratio[0, 2] == pytest.approx(math.acosh(2.5) / rho_len, rel=1e-14)
+    assert ratio[1, 1] == ratio[0, 2]
+    # the row-major argmax is the first kept cell of the maximum
+    assert divmod(int(np.argmax(ratio)), 3) == (0, 2)
+    # unmasked, cell (0, 1) wins, so the mask is what kept it out
+    everywhere = np.ones_like(mask)
+    i = int(np.argmax(admissibility._ratios(rho_tr, sigma_tr, everywhere)))
+    assert divmod(i, 3) == (0, 1)
 
 
 def test_genus_mismatch_rejected(fuchsian_g2, fuchsian_g3):
