@@ -33,14 +33,13 @@ _EXPORTS = {
     ),
     "errors": ("ConventionWarning", "InputError", "IntegralityError"),
     "forms": (
-        "ConnectionPath", "EndValuedForm", "ScalarForm", "bracket_wedge",
+        "ConnectionPath", "EndValuedForm", "bracket_wedge",
         "canonical_maurer_cartan", "cs_density", "curvature_at", "invariant_d",
         "maurer_cartan_residual", "path_integral_coefficient", "wedge_trace",
     ),
     "invariants": (
-        "AdSDescriptor", "CsValue", "PiSquaredScalar", "VolumeResult", "chasles",
-        "cs_pair", "cs_rho_id", "cs_scale", "geometry_calibration",
-        "unit_tangent_volume", "vol_from_cs", "volume",
+        "AdSDescriptor", "chasles", "cs_pair", "cs_rho_id", "cs_scale",
+        "geometry_calibration", "unit_tangent_volume", "vol_from_cs", "volume",
     ),
     "liealg": (
         "LieElement", "OrientedFrame", "adjoint", "bracket", "killing", "metric",

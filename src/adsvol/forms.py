@@ -2,9 +2,12 @@
 
 A k-form stores one value per increasing index tuple over {1, 2, 3},
 the indices referring to the reference orthonormal frame (u1, u2, u3)
-of `liealg`.  Values are either endomorphisms (3x3 matrices over
-Fraction, acting on the Lie algebra in the basis (H, E, F), stored as
-nested tuples of rows) or scalars.
+of `liealg`.  Values are endomorphisms (3x3 matrices over Fraction,
+acting on the Lie algebra in the basis (H, E, F), stored as nested
+tuples of rows).  The one scalar form needed, the top-degree
+tr(A ^ [A ^ A]), is a single rational: `wedge_trace` returns its value
+on (u1, u2, u3), and its value on any frame is that times det3 of the
+frame coordinates.
 Evaluation at arbitrary Lie-algebra vectors extends multilinearly and
 antisymmetrically, so everything stays exact: the value at (x_1, ..., x_k)
 is the sum over the stored tuples I of the k x k minor of the frame
@@ -25,7 +28,6 @@ this module to the rational volume bookkeeping in `invariants`.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,6 +40,7 @@ from .liealg import (
     adjoint,
     as_fraction,
     bracket,
+    det3,
     frame_coords,
     volume_form,
 )
@@ -99,13 +102,9 @@ def commutator(a, b) -> tuple:
 
 
 @dataclass(frozen=True)
-class _AlternatingForm:
-    """Alternating k-form, one value per increasing index tuple.
-
-    Subclasses fix the value algebra through the class attributes
-    `_zero`, `_coerce` (validates and converts one value), `_add` and
-    `_scale` (scalar times value).
-    """
+class EndValuedForm:
+    """Alternating k-form with endomorphism (3x3 Fraction matrix) values,
+    one value per increasing index tuple."""
 
     degree: int
     values: dict
@@ -120,27 +119,27 @@ class _AlternatingForm:
                 f"tuples {expected}"
             )
         object.__setattr__(
-            self, "values", {k: self._coerce(v) for k, v in self.values.items()}
+            self, "values", {k: _as_matrix(v) for k, v in self.values.items()}
         )
 
-    def value_at(self, indices):
+    def value_at(self, indices) -> tuple:
         """Value on any tuple of `degree` frame indices, by antisymmetry."""
         sign, key = _sort_sign(indices)
         if len(key) != self.degree or not set(key) <= set(_INDICES):
             raise InputError(f"need {self.degree} frame indices in 1..3, got {key}")
         if sign == 0:
-            return self._zero
+            return _zero_matrix()
         value = self.values[key]
-        return value if sign == 1 else self._scale(sign, value)
+        return value if sign == 1 else _scale(sign, value)
 
-    def evaluate(self, *vectors: LieElement):
+    def evaluate(self, *vectors: LieElement) -> tuple:
         """Multilinear evaluation at Lie-algebra vectors: the sum over the
         stored tuples I of the I-minor of the frame coordinates times the
         value on I."""
         if len(vectors) != self.degree:
             raise InputError(f"need {self.degree} vectors, got {len(vectors)}")
         coords = [frame_coords(v) for v in vectors]
-        total = self._zero
+        total = _zero_matrix()
         for key, value in self.values.items():
             minor = 0
             for sign, perm in _SIGNED_ORDERINGS[key]:
@@ -149,15 +148,15 @@ class _AlternatingForm:
                     term *= c[i - 1]
                 minor += term
             if minor != 0:
-                total = self._add(total, self._scale(minor, value))
+                total = _add(total, _scale(minor, value))
         return total
 
     def __add__(self, other):
-        if type(other) is not type(self) or self.degree != other.degree:
-            raise InputError("can only add forms of the same class and degree")
-        return type(self)(
+        if not isinstance(other, EndValuedForm) or self.degree != other.degree:
+            raise InputError("can only add forms of the same degree")
+        return EndValuedForm(
             self.degree,
-            {k: self._add(self.values[k], other.values[k]) for k in self.values},
+            {k: _add(self.values[k], other.values[k]) for k in self.values},
         )
 
     def __sub__(self, other):
@@ -165,35 +164,18 @@ class _AlternatingForm:
 
     def __rmul__(self, scalar):
         s = as_fraction(scalar)
-        return type(self)(
-            self.degree, {k: self._scale(s, v) for k, v in self.values.items()}
+        return EndValuedForm(
+            self.degree, {k: _scale(s, v) for k, v in self.values.items()}
         )
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, type(self)) or self.degree != other.degree:
+        if not isinstance(other, EndValuedForm) or self.degree != other.degree:
             return NotImplemented
         return self.values == other.values
 
     def is_zero(self) -> bool:
-        return all(v == self._zero for v in self.values.values())
-
-
-class EndValuedForm(_AlternatingForm):
-    """Alternating form with endomorphism (3x3 Fraction matrix) values."""
-
-    _zero = _zero_matrix()
-    _coerce = staticmethod(_as_matrix)
-    _add = staticmethod(_add)
-    _scale = staticmethod(_scale)
-
-
-class ScalarForm(_AlternatingForm):
-    """Alternating form with exact rational values."""
-
-    _zero = Fraction(0)
-    _coerce = staticmethod(as_fraction)
-    _add = staticmethod(operator.add)
-    _scale = staticmethod(operator.mul)
+        zero = _zero_matrix()
+        return all(v == zero for v in self.values.values())
 
 
 def canonical_maurer_cartan() -> EndValuedForm:
@@ -252,11 +234,14 @@ def curvature_at(path: ConnectionPath) -> EndValuedForm:
     return t * invariant_d(a) + (t * t / 2) * bracket_wedge(a, a)
 
 
-def wedge_trace(a: EndValuedForm, r: EndValuedForm) -> ScalarForm:
-    """Scalar 3-form tr(a ^ r) with the full antisymmetrisation
+def wedge_trace(a: EndValuedForm, r: EndValuedForm) -> Fraction:
+    """Value on the reference frame (u1, u2, u3) of the scalar 3-form
+    tr(a ^ r) with the full antisymmetrisation
 
         (1/6) sum over permutations s of (1,2,3) of
-              sign(s) * tr( a(x_{s1}) r(x_{s2}, x_{s3}) ).
+              sign(s) * tr( a(u_{s1}) r(u_{s2}, u_{s3}) ).
+
+    A 3-form is this one number times det3 of the frame coordinates.
     """
     if a.degree != 1 or r.degree != 2:
         raise InputError("wedge_trace expects a 1-form and a 2-form")
@@ -265,7 +250,7 @@ def wedge_trace(a: EndValuedForm, r: EndValuedForm) -> ScalarForm:
         total += sign * _trace_product(
             a.value_at((perm[0],)), r.value_at((perm[1], perm[2]))
         )
-    return ScalarForm(3, {(1, 2, 3): Fraction(1, 6) * total})
+    return total / 6
 
 
 def cs_density(
@@ -284,7 +269,9 @@ def cs_density(
     vectors = REFERENCE_FRAME if frame is None else tuple(frame)
     if len(vectors) != 3:
         raise InputError("cs_density needs a frame of three vectors")
-    numerator = wedge_trace(a, bracket_wedge(a, a)).evaluate(*vectors)
+    numerator = wedge_trace(a, bracket_wedge(a, a)) * det3(
+        [frame_coords(v) for v in vectors]
+    )
     denominator = volume_form(*vectors, orientation=orientation)
     if denominator == 0:
         raise InputError("frame is degenerate (zero volume)")

@@ -3,9 +3,9 @@
 A closed anti-de-Sitter manifold in the family considered here is
 described by three integers: the Euler number e of the Fuchsian factor,
 the Euler number f of the other factor, and the covering degree k != 0
-of the circle bundle.  All invariants are exact rationals; volumes carry
-a factor pi^2 which is kept symbolic (PiSquaredScalar), Chern-Simons
-values are plain rationals (CsValue).
+of the circle bundle.  Every invariant is a plain `Fraction`: a volume
+is its coefficient of pi^2, a Chern-Simons value is the rational
+itself.
 
 The identities wired through this module:
 
@@ -58,60 +58,6 @@ def rational_str(value: Fraction) -> str:
 
 
 @dataclass(frozen=True)
-class PiSquaredScalar:
-    """An exact rational multiple of pi^2."""
-
-    coeff: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", as_fraction(self.coeff))
-
-    def __add__(self, other: "PiSquaredScalar") -> "PiSquaredScalar":
-        return PiSquaredScalar(self.coeff + other.coeff)
-
-    def __sub__(self, other: "PiSquaredScalar") -> "PiSquaredScalar":
-        return PiSquaredScalar(self.coeff - other.coeff)
-
-    def __neg__(self) -> "PiSquaredScalar":
-        return PiSquaredScalar(-self.coeff)
-
-    def __abs__(self) -> "PiSquaredScalar":
-        return PiSquaredScalar(abs(self.coeff))
-
-    def __rmul__(self, scalar) -> "PiSquaredScalar":
-        return PiSquaredScalar(as_fraction(scalar) * self.coeff)
-
-    def __str__(self) -> str:
-        return f"({rational_str(self.coeff)})*pi^2"
-
-
-@dataclass(frozen=True)
-class CsValue:
-    """An exact rational Chern-Simons value (defined modulo nothing:
-    the family considered here produces well-defined rationals)."""
-
-    value: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", as_fraction(self.value))
-
-    def __add__(self, other: "CsValue") -> "CsValue":
-        return CsValue(self.value + other.value)
-
-    def __sub__(self, other: "CsValue") -> "CsValue":
-        return CsValue(self.value - other.value)
-
-    def __neg__(self) -> "CsValue":
-        return CsValue(-self.value)
-
-    def __rmul__(self, scalar) -> "CsValue":
-        return CsValue(as_fraction(scalar) * self.value)
-
-    def __str__(self) -> str:
-        return rational_str(self.value)
-
-
-@dataclass(frozen=True)
 class AdSDescriptor:
     """Integer descriptor (e, f, k) of a closed quotient, genus optional.
 
@@ -151,57 +97,51 @@ class AdSDescriptor:
             )
 
 
-@dataclass(frozen=True)
-class VolumeResult:
-    signed: PiSquaredScalar
-    magnitude: PiSquaredScalar
+def volume(d: AdSDescriptor) -> Fraction:
+    """Signed volume 4 (e^2 - f^2)/k, as a coefficient of pi^2."""
+    return Fraction(4 * (d.e * d.e - d.f * d.f), d.k)
 
 
-def volume(d: AdSDescriptor) -> VolumeResult:
-    """Signed volume 4 (e^2 - f^2)/k times pi^2, plus its magnitude."""
-    signed = PiSquaredScalar(Fraction(4 * (d.e * d.e - d.f * d.f), d.k))
-    return VolumeResult(signed=signed, magnitude=abs(signed))
-
-
-def unit_tangent_volume(e: int) -> PiSquaredScalar:
-    """Volume 4e * pi^2 of the unit tangent bundle descriptor (e, 0, e)."""
+def unit_tangent_volume(e: int) -> Fraction:
+    """Volume 4e of the unit tangent bundle descriptor (e, 0, e), as a
+    coefficient of pi^2."""
     _require_int("e", e)
     if e == 0:
         raise InputError("unit tangent bundle needs e != 0")
-    return PiSquaredScalar(Fraction(4 * e))
+    return Fraction(4 * e)
 
 
-def cs_rho_id(f: int, k: int) -> CsValue:
+def cs_rho_id(f: int, k: int) -> Fraction:
     """Chern-Simons difference -f^2/(6k) between the flat connection of
     the second factor and the trivial one, on the degree-k quotient."""
     _require_int("f", f)
     _require_int("k", k)
     if k == 0:
         raise InputError("covering degree k must be nonzero")
-    return CsValue(Fraction(-f * f, 6 * k))
+    return Fraction(-f * f, 6 * k)
 
 
-def cs_pair(d: AdSDescriptor) -> CsValue:
+def cs_pair(d: AdSDescriptor) -> Fraction:
     """Relative Chern-Simons invariant (f^2 - e^2)/(6k) of the two factors."""
-    return CsValue(Fraction(d.f * d.f - d.e * d.e, 6 * d.k))
+    return Fraction(d.f * d.f - d.e * d.e, 6 * d.k)
 
 
-def cs_scale(degree: int, v: CsValue) -> CsValue:
+def cs_scale(degree: int, v: Fraction) -> Fraction:
     """Pullback along a degree-d fibrewise covering multiplies the
     invariant by d."""
     _require_int("degree", degree)
-    return CsValue(degree * v.value)
+    return degree * v
 
 
-def chasles(ab: CsValue, bc: CsValue) -> CsValue:
+def chasles(ab: Fraction, bc: Fraction) -> Fraction:
     """Additivity along concatenated connection paths."""
     return ab + bc
 
 
-def vol_from_cs(v: CsValue) -> PiSquaredScalar:
-    """Signed volume -24 * cs (times pi^2) recovered from the relative
-    Chern-Simons invariant of the two factors."""
-    return PiSquaredScalar(-24 * v.value)
+def vol_from_cs(v: Fraction) -> Fraction:
+    """Signed volume -24 * cs, as a coefficient of pi^2, recovered from
+    the relative Chern-Simons invariant of the two factors."""
+    return -24 * v
 
 
 def geometry_calibration(
@@ -220,11 +160,8 @@ def geometry_calibration(
     kappa = forms.cs_density(
         forms.canonical_maurer_cartan(), frame=frame, orientation=orientation
     )
-    predicted = (
-        forms.path_integral_coefficient() * kappa * volume(d).signed.coeff / 8
-    )
-    combinatorial = cs_pair(d).value
-    return predicted / combinatorial
+    predicted = forms.path_integral_coefficient() * kappa * volume(d) / 8
+    return predicted / cs_pair(d)
 
 
 def json_record(d: AdSDescriptor) -> dict:
@@ -235,7 +172,7 @@ def json_record(d: AdSDescriptor) -> dict:
         "e": d.e,
         "f": d.f,
         "k": d.k,
-        "volume_signed_pi2": rational_str(vol.signed.coeff),
-        "volume_pi2": rational_str(vol.magnitude.coeff),
-        "cs": rational_str(cs_pair(d).value),
+        "volume_signed_pi2": rational_str(vol),
+        "volume_pi2": rational_str(abs(vol)),
+        "cs": rational_str(cs_pair(d)),
     }

@@ -45,7 +45,6 @@ import numpy as np
 from .errors import InputError, IntegralityError
 
 DET_TOLERANCE = 1e-6
-TYPE_TOLERANCE = 1e-9
 #: Largest distance of the relator from the identity at which euler_class
 #: reads a class and `adsvol rep` writes its generators; the library's
 #: relator_residual only reports.
@@ -111,11 +110,6 @@ class Moebius:
     def trace(self) -> float:
         return float(self.mat[0, 0] + self.mat[1, 1])
 
-    @property
-    def det(self) -> float:
-        m = self.mat
-        return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-
     def __mul__(self, other: "Moebius") -> "Moebius":
         return Moebius(self.mat.dot(other.mat))
 
@@ -129,10 +123,6 @@ class Moebius:
         det-based normalisation is too noisy here because det = ad - bc
         cancels catastrophically for large-entry products."""
         return _unit_distance(self.mat.ravel().tolist(), other.mat.ravel().tolist())
-
-    def close_to(self, other: "Moebius") -> bool:
-        """Equal in PSL(2, R) up to TYPE_TOLERANCE in dist_mod_sign."""
-        return self.dist_mod_sign(other) <= TYPE_TOLERANCE
 
     def __repr__(self) -> str:
         return f"Moebius({self.mat.tolist()!r})"

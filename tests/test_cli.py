@@ -372,12 +372,17 @@ def test_verify_detects_curvature_sign_fault(capsys, monkeypatch):
          {"unit-tangent", "chasles"}),
         ("cs_pair", lambda true: lambda d: -true(d),
          {"vol-cs", "chasles", "calibration"}),
+        ("volume", lambda true: lambda d: -true(d),
+         {"vol-cs", "unit-tangent", "calibration"}),
+        ("volume", lambda true: lambda d: 2 * true(d),
+         {"vol-cs", "unit-tangent", "calibration"}),
     ],
-    ids=["cs_rho_id-doubled", "cs_pair-negated"],
+    ids=["cs_rho_id-doubled", "cs_pair-negated", "volume-negated", "volume-doubled"],
 )
 def test_verify_detects_cs_formula_faults(capsys, monkeypatch, name, fault, failing):
     # cs_pair is a closed form of its own, so chasles compares two
-    # formulas and catches a fault in either
+    # formulas and catches a fault in either; the rows are those of the
+    # README's mutant table
     monkeypatch.setattr(invariants, name, fault(getattr(invariants, name)))
     code, out, err = run_cli(capsys, "verify")
     assert code == 1

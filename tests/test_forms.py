@@ -21,7 +21,6 @@ from adsvol.errors import InputError
 from adsvol.forms import (
     ConnectionPath,
     EndValuedForm,
-    ScalarForm,
     bracket_wedge,
     canonical_maurer_cartan,
     commutator,
@@ -129,7 +128,6 @@ def test_evaluate_matches_multilinear_expansion(rng, degree):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
 
     for _ in range(5):
-        scalars = {k: rand_fraction() for k in keys}
         matrices = {k: rand_matrix(rng) for k in keys}
         vecs = [tuple(rand_fraction() for _ in range(3)) for _ in range(degree)]
         # the last vector replaced by a rational combination of the
@@ -146,10 +144,8 @@ def test_evaluate_matches_multilinear_expansion(rng, degree):
             cases.append((vecs[:-1] + [vecs[0]], True))
         for coords, degenerate in cases:
             xs = [from_frame_coords(c) for c in coords]
-            got = ScalarForm(degree, scalars).evaluate(*xs)
-            assert got == oracle_form_evaluate(scalars, coords)
-            got_end = EndValuedForm(degree, matrices).evaluate(*xs)
-            assert got_end == tuple(
+            got = EndValuedForm(degree, matrices).evaluate(*xs)
+            assert got == tuple(
                 tuple(
                     oracle_form_evaluate({k: m[r][c] for k, m in matrices.items()}, coords)
                     for c in range(3)
@@ -157,8 +153,7 @@ def test_evaluate_matches_multilinear_expansion(rng, degree):
                 for r in range(3)
             )
             if degenerate:
-                assert got == 0
-                assert got_end == forms._zero_matrix()
+                assert got == forms._zero_matrix()
 
 
 @pytest.mark.parametrize(
@@ -174,7 +169,6 @@ def test_evaluate_matches_multilinear_expansion(rng, degree):
                 ((1, 0, 0), (0, 1), (0, 0, 1)),
             ],
         ),
-        (ScalarForm, Fraction(1, 3), [0.5]),
     ],
 )
 def test_form_constructors_reject_malformed_input(cls, good, bad_values):
@@ -200,20 +194,12 @@ def test_form_constructors_reject_malformed_input(cls, good, bad_values):
         lambda: canonical_maurer_cartan().value_at((4,)),
         lambda: canonical_maurer_cartan().value_at((1, 1, 2)),
         lambda: EndValuedForm(0, {(): 5}),
-        lambda: EndValuedForm(0, {(): forms._zero_matrix()}) + ScalarForm(0, {(): 1}),
     ],
-    ids=["index-out-of-range", "too-many-indices", "scalar-as-matrix", "mixed-sum"],
+    ids=["index-out-of-range", "too-many-indices", "scalar-as-matrix"],
 )
 def test_malformed_form_input_raises_input_error(call):
     with pytest.raises(InputError):
         call()
-
-
-def test_scalar_form_arithmetic():
-    s = ScalarForm(3, {(1, 2, 3): Fraction(-5, 7)})
-    assert 2 * s == s + s
-    assert (s - s).is_zero()
-    assert not s.is_zero()
 
 
 # -------------------------------------------------- wedge and derivative
@@ -328,7 +314,7 @@ def test_wedge_trace_matches_permutation_oracle(rng):
     for _ in range(5):
         pairs.append((rand_one_form(rng), rand_two_form(rng)))
     for one, two in pairs:
-        got = wedge_trace(one, two).evaluate(*REFERENCE_FRAME)
+        got = wedge_trace(one, two)
         want = oracle_wedge_trace(
             lambda v: as_array(one.evaluate(v)),
             lambda v, w: as_array(two.evaluate(v, w)),

@@ -26,7 +26,6 @@ from _oracles import (
     oracle_signature,
 )
 from adsvol.errors import InputError
-from adsvol.forms import ScalarForm
 from adsvol.liealg import (
     BASIS,
     E,
@@ -117,9 +116,9 @@ def test_as_fraction_accepts_exact_types_only():
         lambda: LieElement.of("abc", 0, 0),
         lambda: LieElement.of("1/0", 0, 0),
         lambda: LieElement.of(" ", 0, 0),
-        lambda: ScalarForm(0, {(): "1/0"}),
+        lambda: as_fraction("1/0"),
     ],
-    ids=["not-a-number", "zero-denominator", "blank", "scalar-form"],
+    ids=["not-a-number", "zero-denominator", "blank", "as-fraction"],
 )
 def test_malformed_rational_string_is_input_error(build):
     with pytest.raises(InputError) as excinfo:

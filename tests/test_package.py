@@ -20,11 +20,10 @@ import adsvol
 EXPORTS = (
     "AdmissibilityReport", "LipschitzEstimate", "admissibility_report",
     "lipschitz_lower_bound", "ConventionWarning", "InputError",
-    "IntegralityError", "ConnectionPath", "EndValuedForm", "ScalarForm",
-    "bracket_wedge", "canonical_maurer_cartan", "cs_density", "curvature_at",
-    "invariant_d", "maurer_cartan_residual", "path_integral_coefficient",
-    "wedge_trace", "AdSDescriptor", "CsValue", "PiSquaredScalar",
-    "VolumeResult", "chasles", "cs_pair", "cs_rho_id", "cs_scale",
+    "IntegralityError", "ConnectionPath", "EndValuedForm", "bracket_wedge",
+    "canonical_maurer_cartan", "cs_density", "curvature_at", "invariant_d",
+    "maurer_cartan_residual", "path_integral_coefficient", "wedge_trace",
+    "AdSDescriptor", "chasles", "cs_pair", "cs_rho_id", "cs_scale",
     "geometry_calibration", "unit_tangent_volume", "vol_from_cs", "volume",
     "LieElement", "OrientedFrame", "adjoint", "bracket", "killing", "metric",
     "omega", "volume_form", "Moebius", "Representation",
