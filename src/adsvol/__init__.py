@@ -42,8 +42,8 @@ _EXPORTS = {
         "geometry_calibration", "unit_tangent_volume", "vol_from_cs", "volume",
     ),
     "liealg": (
-        "LieElement", "OrientedFrame", "adjoint", "bracket", "killing", "metric",
-        "omega", "volume_form",
+        "LieElement", "adjoint", "bracket", "killing", "metric", "omega",
+        "volume_form",
     ),
     "reps": (
         "Moebius", "Representation", "SurfaceGroup", "Word", "euler_class",

@@ -6,8 +6,7 @@ of `liealg`.  Values are endomorphisms (3x3 matrices over Fraction,
 acting on the Lie algebra in the basis (H, E, F), stored as nested
 tuples of rows).  The one scalar form needed, the top-degree
 tr(A ^ [A ^ A]), is a single rational: `wedge_trace` returns its value
-on (u1, u2, u3), and its value on any frame is that times det3 of the
-frame coordinates.
+on (u1, u2, u3), which fixes it, as it fixes every alternating 3-form.
 Evaluation at arbitrary Lie-algebra vectors extends multilinearly and
 antisymmetrically, so everything stays exact: the value at (x_1, ..., x_k)
 is the sum over the stored tuples I of the k x k minor of the frame
@@ -40,7 +39,6 @@ from .liealg import (
     adjoint,
     as_fraction,
     bracket,
-    det3,
     frame_coords,
     volume_form,
 )
@@ -241,7 +239,8 @@ def wedge_trace(a: EndValuedForm, r: EndValuedForm) -> Fraction:
         (1/6) sum over permutations s of (1,2,3) of
               sign(s) * tr( a(u_{s1}) r(u_{s2}, u_{s3}) ).
 
-    A 3-form is this one number times det3 of the frame coordinates.
+    A 3-form is this one number times the determinant of the frame
+    coordinates of its arguments.
     """
     if a.degree != 1 or r.degree != 2:
         raise InputError("wedge_trace expects a 1-form and a 2-form")
@@ -253,29 +252,18 @@ def wedge_trace(a: EndValuedForm, r: EndValuedForm) -> Fraction:
     return total / 6
 
 
-def cs_density(
-    a: EndValuedForm,
-    frame=None,
-    orientation: int = 1,
-) -> Fraction:
-    """Ratio of tr(a ^ [a ^ a]) to the volume form on a frame.
+def cs_density(a: EndValuedForm) -> Fraction:
+    """Ratio of tr(a ^ [a ^ a]) to the volume form, read on the
+    reference frame.
 
     For the canonical form this is the frozen constant -4: each of the
     six permutation terms contributes 2 * omega(u1, u2, u3) = -4, so the
-    (1/6)-weighted sum is -4 while the volume form is 1.  The ratio of
-    two nonzero alternating 3-forms does not depend on the frame; it
-    flips sign with the global orientation.
+    (1/6)-weighted sum is -4 while the volume form is 1.  Both are
+    alternating 3-forms on a 3-dimensional space, so their ratio is the
+    same on every frame.  The volume form is read through the metric,
+    so a miscalibrated metric shows up here.
     """
-    vectors = REFERENCE_FRAME if frame is None else tuple(frame)
-    if len(vectors) != 3:
-        raise InputError("cs_density needs a frame of three vectors")
-    numerator = wedge_trace(a, bracket_wedge(a, a)) * det3(
-        [frame_coords(v) for v in vectors]
-    )
-    denominator = volume_form(*vectors, orientation=orientation)
-    if denominator == 0:
-        raise InputError("frame is degenerate (zero volume)")
-    return numerator / denominator
+    return wedge_trace(a, bracket_wedge(a, a)) / volume_form(*REFERENCE_FRAME)
 
 
 def path_integral_coefficient() -> Fraction:

@@ -28,8 +28,9 @@ kappa = cs_density(canonical form).  The ratio of that prediction to
 cs_pair is the frozen rational CALIBRATION_RATIO = -1.  Its magnitude 1
 means the normalisations (metric calibration, 1/6 antisymmetrisation,
 1/(8 pi^2) front factor, -1/12 path integral) are mutually consistent;
-the sign records that our positively-oriented frame convention is
-opposite to the one implicit in the combinatorial formulas.
+the sign records that the positive orientation of the reference frame
+(u1, u2, u3) of `liealg` is opposite to the one implicit in the
+combinatorial formulas.
 """
 
 from __future__ import annotations
@@ -144,9 +145,7 @@ def vol_from_cs(v: Fraction) -> Fraction:
     return -24 * v
 
 
-def geometry_calibration(
-    e: int = -2, frame=None, orientation: int = 1
-) -> Fraction:
+def geometry_calibration(e: int = -2) -> Fraction:
     """Exact ratio between the differential-geometric Chern-Simons
     prediction and the combinatorial value, on a unit-tangent-bundle
     descriptor (e, 0, e).
@@ -157,9 +156,7 @@ def geometry_calibration(
     and equals the frozen CALIBRATION_RATIO = -1 on a clean build.
     """
     d = AdSDescriptor(e, 0, e)
-    kappa = forms.cs_density(
-        forms.canonical_maurer_cartan(), frame=frame, orientation=orientation
-    )
+    kappa = forms.cs_density(forms.canonical_maurer_cartan())
     predicted = forms.path_integral_coefficient() * kappa * volume(d) / 8
     return predicted / cs_pair(d)
 

@@ -1,8 +1,9 @@
 """Exact model of the Lie algebra sl(2, R) in the ordered basis (H, E, F).
 
 Every coefficient in this module is a `fractions.Fraction`; no floating
-point enters any computation.  Matrices (2x2 group elements, 3x3
-adjoint and Gram matrices) are nested tuples of rows.  The basis matrices are
+point enters any computation.  Matrices (the 2x2 matrix of an element,
+3x3 adjoint and Gram matrices) are nested tuples of rows.  The basis
+matrices are
 
     H = [[1, 0], [0, -1]],   E = [[0, 1], [0, 0]],   F = [[0, 0], [1, 0]],
 
@@ -22,7 +23,8 @@ The test-suite re-derives the speed from hyperbolic distances.
 Reference frame.  u1 = H/2, u2 = (E+F)/2, u3 = (E-F)/2 is orthonormal
 with signs (+1, +1, -1) (spacelike, spacelike, timelike) and is declared
 positively oriented; volume_form is the determinant of metric coordinates
-in this frame.
+in this frame.  It is the one frame of the exact layer: an alternating
+3-form on a 3-dimensional space is fixed by its value on it.
 
 The trilinear form omega(X, Y, Z) = tr(ad_X ad_[Y,Z]) is alternating,
 hence a constant multiple of volume_form.  Under the conventions above
@@ -32,7 +34,6 @@ metric normalisations rescale it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,10 +54,10 @@ OMEGA_VOLUME_RATIO = Fraction(-2)
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings; refuse floats."""
+    """Coerce ints, Fractions and 'p/q' strings; refuse floats and bools."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -214,13 +215,10 @@ def det3(rows) -> Fraction:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def volume_form(x: LieElement, y: LieElement, z: LieElement, orientation: int = 1) -> Fraction:
+def volume_form(x: LieElement, y: LieElement, z: LieElement) -> Fraction:
     """Volume of the parallelepiped (x, y, z): determinant of metric
-    coordinates in the reference frame, signed by the chosen global
-    orientation (+1 keeps (u1, u2, u3) positive, -1 reverses it)."""
-    if orientation not in (1, -1):
-        raise InputError("orientation must be +1 or -1")
-    return orientation * det3([metric_coords(v) for v in (x, y, z)])
+    coordinates in the reference frame, which is positively oriented."""
+    return det3([metric_coords(v) for v in (x, y, z)])
 
 
 def gram_matrix() -> tuple:
@@ -258,61 +256,3 @@ def rational_signature(sym) -> tuple:
     positives = _sign_changes([c for _, c in terms])
     negatives = _sign_changes([-c if power % 2 else c for power, c in terms])
     return positives, negatives, terms[-1][0]
-
-
-@dataclass(frozen=True)
-class OrientedFrame:
-    """Positively oriented orthonormal frame with signs (+1, +1, -1)."""
-
-    vectors: tuple
-
-    def __post_init__(self):
-        vs = tuple(self.vectors)
-        if len(vs) != 3 or not all(isinstance(v, LieElement) for v in vs):
-            raise InputError("OrientedFrame needs three LieElements")
-        object.__setattr__(self, "vectors", vs)
-        for i, j in itertools.combinations(range(3), 2):
-            if metric(vs[i], vs[j]) != 0:
-                raise InputError(f"frame vectors {i + 1}, {j + 1} are not orthogonal")
-        for i in range(3):
-            if metric(vs[i], vs[i]) != FRAME_SIGNS[i]:
-                raise InputError(
-                    f"frame vector {i + 1} must have squared norm {FRAME_SIGNS[i]}"
-                )
-        if volume_form(*vs) != 1:
-            raise InputError("frame is not positively oriented")
-
-    @classmethod
-    def reference(cls) -> "OrientedFrame":
-        return cls(REFERENCE_FRAME)
-
-    @classmethod
-    def random(cls, rng) -> "OrientedFrame":
-        """Frame obtained by the adjoint action of a random rational
-        element of SL(2, R); exactly orthonormal and positively oriented
-        because the action is a connected group of isometries."""
-        g = random_rational_sl2(rng)
-        return cls(tuple(adjoint_action(g, u) for u in REFERENCE_FRAME))
-
-
-def random_rational_sl2(rng) -> tuple:
-    """Random product of rational shear matrices; determinant exactly 1."""
-    one, zero = Fraction(1), Fraction(0)
-    g = ((one, zero), (zero, one))
-    for turn in range(rng.randint(2, 4)):
-        t = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        if turn % 2 == 0:
-            shear = ((one, t), (zero, one))
-        else:
-            shear = ((one, zero), (t, one))
-        g = _mat_mul(g, shear)
-    return g
-
-
-def adjoint_action(g, x: LieElement) -> LieElement:
-    """Ad_g(x) = g X g^-1 for g a rational 2x2 matrix of determinant 1."""
-    (a, b), (c, d) = g
-    if a * d - b * c != 1:
-        raise InputError("adjoint_action needs determinant exactly 1")
-    m = _mat_mul(_mat_mul(g, x.to_matrix()), ((d, -b), (-c, a)))
-    return LieElement.of(m[0][0], m[0][1], m[1][0])

@@ -12,6 +12,9 @@ from itertools import permutations, product
 
 import numpy as np
 
+from adsvol.errors import InputError
+from adsvol.liealg import REFERENCE_FRAME, LieElement, _mat_mul
+
 # The three basis matrices written out by hand; object dtype keeps
 # Fraction arithmetic exact through numpy matmul.
 MAT_H = np.array([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]], dtype=object)
@@ -145,6 +148,37 @@ def oracle_signature(sym):
         sum(1 for d in diag if d < 0),
         sum(1 for d in diag if d == 0),
     )
+
+
+def random_rational_sl2(rng) -> tuple:
+    """Random product of rational shear matrices; determinant exactly 1."""
+    one, zero = Fraction(1), Fraction(0)
+    g = ((one, zero), (zero, one))
+    for turn in range(rng.randint(2, 4)):
+        t = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        if turn % 2 == 0:
+            shear = ((one, t), (zero, one))
+        else:
+            shear = ((one, zero), (t, one))
+        g = _mat_mul(g, shear)
+    return g
+
+
+def adjoint_action(g, x: LieElement) -> LieElement:
+    """Ad_g(x) = g X g^-1 for g a rational 2x2 matrix of determinant 1."""
+    (a, b), (c, d) = g
+    if a * d - b * c != 1:
+        raise InputError("adjoint_action needs determinant exactly 1")
+    m = _mat_mul(_mat_mul(g, x.to_matrix()), ((d, -b), (-c, a)))
+    return LieElement.of(m[0][0], m[0][1], m[1][0])
+
+
+def random_ad_frame(rng) -> tuple:
+    """The reference frame moved by the adjoint action of a random
+    rational element of SL(2, R): exactly orthonormal and positively
+    oriented, because that action is a connected group of isometries."""
+    g = random_rational_sl2(rng)
+    return tuple(adjoint_action(g, u) for u in REFERENCE_FRAME)
 
 
 def simpson_unit(f):

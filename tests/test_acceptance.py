@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from _oracles import random_ad_frame
 from adsvol import admissibility, cli, forms, invariants, liealg, reps
 from adsvol.errors import ConventionWarning, IntegralityError
 
@@ -127,12 +128,17 @@ def test_criterion_6_frozen_density_and_calibration():
         assert isinstance(chat, Fraction) and chat != 0
         assert kappa == invariants.CS_DENSITY_REFERENCE == Fraction(-4)
         assert chat == invariants.CALIBRATION_RATIO == Fraction(-1)
+        # frame stable: tr(A ^ [A ^ A]) = kappa * volume form as 3-forms,
+        # on random Ad-frames, and both sides negate on a negative frame
+        top = forms.wedge_trace(a, forms.bracket_wedge(a, a))
+
+        def both_sides(frame):
+            coords = [liealg.frame_coords(v) for v in frame]
+            return top * liealg.det3(coords), kappa * liealg.volume_form(*frame)
+
         for _ in range(5):
-            frame = liealg.OrientedFrame.random(rng).vectors
-            assert forms.cs_density(a, frame=frame) == kappa
-            assert invariants.geometry_calibration(frame=frame) == chat
-        assert forms.cs_density(a, orientation=-1) == -kappa
-        assert invariants.geometry_calibration(orientation=-1) == -chat
+            assert both_sides(random_ad_frame(rng)) == (kappa, kappa)
+        assert both_sides((liealg.U2, liealg.U1, liealg.U3)) == (-kappa, -kappa)
         assert {forms.cs_density(a) for _ in range(3)} == {kappa}
         assert {invariants.geometry_calibration() for _ in range(3)} == {chat}
 

@@ -14,6 +14,7 @@ from _oracles import (
     oracle_bracket,
     oracle_form_evaluate,
     oracle_wedge_trace,
+    random_ad_frame,
     simpson_unit,
 )
 from adsvol import forms, liealg
@@ -37,9 +38,11 @@ from adsvol.liealg import (
     U2,
     U3,
     LieElement,
-    OrientedFrame,
     adjoint,
     bracket,
+    det3,
+    frame_coords,
+    volume_form,
 )
 
 # The rationals in [-6, 6] with denominator at most 8, drawn as p/q:
@@ -263,6 +266,8 @@ def test_connection_path_domain():
         ConnectionPath(Fraction(-1, 10))
     with pytest.raises(InputError):
         ConnectionPath(Fraction(11, 10))
+    with pytest.raises(InputError):
+        ConnectionPath(True)
 
 
 def curvature_oracle(t, x, y):
@@ -342,27 +347,27 @@ def test_cs_density_recomputes_identically():
 
 
 def test_cs_density_frame_independent(rng):
+    # tr(A ^ [A ^ A]) and kappa times the volume form are the same 3-form:
+    # equal on positive frames, and both negate on a negative one.
     a = canonical_maurer_cartan()
-    swapped = (U2, -U1, U3)
-    assert cs_density(a, frame=swapped) == -4
-    for _ in range(5):
-        frame = OrientedFrame.random(rng)
-        assert cs_density(a, frame=frame.vectors) == -4
+    kappa = cs_density(a)
+    top = wedge_trace(a, bracket_wedge(a, a))
 
+    def both_sides(frame):
+        return (
+            top * det3([frame_coords(v) for v in frame]),
+            kappa * volume_form(*frame),
+        )
 
-def test_cs_density_orientation_flip():
-    a = canonical_maurer_cartan()
-    assert cs_density(a, orientation=-1) == 4
+    frames = [REFERENCE_FRAME, (U2, -U1, U3)]
+    frames += [random_ad_frame(rng) for _ in range(5)]
+    for frame in frames:
+        assert both_sides(frame) == (-4, -4)
+    assert both_sides((U2, U1, U3)) == (4, 4)
 
 
 def test_cs_density_cubic_scaling():
     assert cs_density(2 * canonical_maurer_cartan()) == 8 * -4
-
-
-def test_cs_density_rejects_degenerate_frame():
-    a = canonical_maurer_cartan()
-    with pytest.raises(InputError):
-        cs_density(a, frame=(U1, U1, U3))
 
 
 # -------------------------------------------------- path coefficient

@@ -24,7 +24,6 @@ from adsvol.invariants import (
     vol_from_cs,
     volume,
 )
-from adsvol.liealg import U1, U2, U3
 
 ints = st.integers(min_value=-60, max_value=60)
 nonzero_ints = ints.filter(lambda k: k != 0)
@@ -200,15 +199,6 @@ def test_calibration_magnitude_is_one():
     # |ratio| = 1 says the two routes agree in magnitude; the sign
     # records an orientation convention mismatch between them.
     assert abs(geometry_calibration()) == 1
-
-
-def test_calibration_orientation_flip():
-    assert geometry_calibration(orientation=-1) == -CALIBRATION_RATIO
-
-
-def test_calibration_accepts_explicit_frame():
-    assert geometry_calibration(frame=(U1, U2, U3)) == CALIBRATION_RATIO
-    assert geometry_calibration(frame=(U2, -1 * U1, U3)) == CALIBRATION_RATIO
 
 
 def test_calibration_recomputes_identically():

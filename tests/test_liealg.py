@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    adjoint_action,
     as_array,
     as_rows,
     hyperbolic_distance,
@@ -24,6 +25,8 @@ from _oracles import (
     oracle_killing,
     oracle_omega,
     oracle_signature,
+    random_ad_frame,
+    random_rational_sl2,
 )
 from adsvol.errors import InputError
 from adsvol.liealg import (
@@ -39,9 +42,7 @@ from adsvol.liealg import (
     U2,
     U3,
     LieElement,
-    OrientedFrame,
     adjoint,
-    adjoint_action,
     as_fraction,
     bracket,
     frame_coords,
@@ -50,7 +51,6 @@ from adsvol.liealg import (
     metric,
     metric_coords,
     omega,
-    random_rational_sl2,
     rational_signature,
     trace2,
     volume_form,
@@ -108,6 +108,14 @@ def test_as_fraction_accepts_exact_types_only():
     assert as_fraction(Fraction(-1, 2)) == Fraction(-1, 2)
     with pytest.raises(InputError):
         as_fraction(0.5)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_as_fraction_refuses_bool(flag):
+    with pytest.raises(InputError):
+        as_fraction(flag)
+    with pytest.raises(InputError):
+        LieElement.of(flag, 0, 0)
 
 
 @pytest.mark.parametrize(
@@ -406,7 +414,6 @@ def test_volume_form_worked_values():
     assert volume_form(*REFERENCE_FRAME) == 1
     assert volume_form(U2, U1, U3) == -1
     assert volume_form(U1, U1, U3) == 0
-    assert volume_form(*REFERENCE_FRAME, orientation=-1) == -1
 
 
 @given(elements, elements, elements)
@@ -421,28 +428,14 @@ def test_omega_volume_ratio_frozen(x, y, z):
 # ------------------------------------------------------------- frames
 
 
-def test_reference_frame_is_valid():
-    frame = OrientedFrame.reference()
-    assert frame.vectors == REFERENCE_FRAME
-
-
-def test_oriented_frame_rejects_bad_input():
-    with pytest.raises(InputError):
-        OrientedFrame((U1, U2, 2 * U3))  # wrong norm
-    with pytest.raises(InputError):
-        OrientedFrame((U1, U1 + U2, U3))  # not orthogonal
-    with pytest.raises(InputError):
-        OrientedFrame((U2, U1, U3))  # negatively oriented
-    with pytest.raises(InputError):
-        OrientedFrame((U1, U2))  # wrong arity
-
-
 def test_random_frames_are_orthonormal_and_positive(rng):
     for _ in range(10):
-        frame = OrientedFrame.random(rng)
-        assert volume_form(*frame.vectors) == 1
-        for i, v in enumerate(frame.vectors):
+        frame = random_ad_frame(rng)
+        assert volume_form(*frame) == 1
+        for i, v in enumerate(frame):
             assert metric(v, v) == FRAME_SIGNS[i]
+            for w in frame[i + 1:]:
+                assert metric(v, w) == 0
 
 
 # ------------------------------------------------- adjoint group action

@@ -25,7 +25,7 @@ EXPORTS = (
     "maurer_cartan_residual", "path_integral_coefficient", "wedge_trace",
     "AdSDescriptor", "chasles", "cs_pair", "cs_rho_id", "cs_scale",
     "geometry_calibration", "unit_tangent_volume", "vol_from_cs", "volume",
-    "LieElement", "OrientedFrame", "adjoint", "bracket", "killing", "metric",
+    "LieElement", "adjoint", "bracket", "killing", "metric",
     "omega", "volume_form", "Moebius", "Representation",
     "SurfaceGroup", "Word", "euler_class", "evaluate",
     "fuchsian_regular_polygon", "load_representation", "relator_residual",
