@@ -49,6 +49,9 @@ DET_TOLERANCE = 1e-6
 #: reads a class and `adsvol rep` writes its generators; the library's
 #: relator_residual only reports.
 RELATOR_TOLERANCE = 1e-4
+_NORMALISED_OVERFLOW = "Moebius entries overflow once normalised to determinant 1"
+_IDENTITY = np.eye(2)
+_IDENTITY.flags.writeable = False
 
 
 def _unit_distance(x, y) -> float:
@@ -79,26 +82,39 @@ class Moebius:
 
     def __init__(self, mat):
         m = np.array(mat, dtype=float)
-        if m.shape != (2, 2) or not np.isfinite(m).all():
+        entries = m.ravel().tolist()
+        if m.shape != (2, 2) or not all(map(math.isfinite, entries)):
             raise InputError("Moebius needs a finite 2x2 real matrix")
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if det <= 0:
+        a, b, c, d = entries
+        det = a * d - b * c
+        if not 2.0**-1022 <= abs(det) < math.inf:
+            # ad or bc left the normal float range (or ad - bc cancelled
+            # out of it): form them again from the entries scaled by 2^-k,
+            # k half the binary exponent of the larger product; a power of
+            # two changes no rounding and cancels in the division by sqrt(det)
+            k = max(
+                (math.frexp(x)[1] + math.frexp(y)[1] for x, y in ((a, d), (b, c)) if x and y),
+                default=0,
+            ) // 2
+            try:
+                a, b, c, d = (math.ldexp(x, -k) for x in entries)
+            except OverflowError:
+                raise InputError(_NORMALISED_OVERFLOW) from None
+            det = a * d - b * c
+        if not det > 0:
             raise InputError("PSL(2, R) requires positive determinant")
-        m = m / math.sqrt(det)
-        tr = m[0, 0] + m[1, 1]
-        if tr < 0:
-            m = -m
-        elif tr == 0:
-            for entry in m.flat:
-                if entry != 0:
-                    if entry < 0:
-                        m = -m
-                    break
-        self.mat = m
+        scale = math.sqrt(det)
+        a, b, c, d = a / scale, b / scale, c / scale, d / scale
+        if not all(map(math.isfinite, (a, b, c, d))):
+            raise InputError(_NORMALISED_OVERFLOW)
+        tr = a + d
+        if tr < 0 or (tr == 0 and next(x for x in (a, b, c, d) if x != 0) < 0):
+            a, b, c, d = -a, -b, -c, -d
+        self.mat = np.array([[a, b], [c, d]])
 
     @classmethod
     def identity(cls) -> "Moebius":
-        return cls(np.eye(2))
+        return cls(_IDENTITY)
 
     @classmethod
     def rotation(cls, alpha: float) -> "Moebius":
@@ -114,7 +130,8 @@ class Moebius:
         return Moebius(self.mat.dot(other.mat))
 
     def inverse(self) -> "Moebius":
-        return Moebius(_adjugate(self.mat))
+        (a, b), (c, d) = self.mat.tolist()
+        return Moebius([[d, -b], [-c, a]])
 
     def dist_mod_sign(self, other: "Moebius") -> float:
         """Frobenius distance in PSL(2, R), i.e. up to scale and sign.
@@ -181,13 +198,18 @@ class Word:
         return iter(self.letters)
 
 
-def relator_word(genus: int) -> Word:
-    """prod_i a_i b_i a_i^-1 b_i^-1 as a reduced word."""
+def _relator_letters(genus: int) -> list:
+    """The letters of prod_i a_i b_i a_i^-1 b_i^-1, unchecked."""
     letters = []
     for i in range(1, genus + 1):
         a, b = 2 * i - 1, 2 * i
         letters += [a, b, -a, -b]
-    return Word(tuple(letters))
+    return letters
+
+
+def relator_word(genus: int) -> Word:
+    """prod_i a_i b_i a_i^-1 b_i^-1 as a reduced word."""
+    return Word(tuple(_relator_letters(genus)))
 
 
 @dataclass(frozen=True)
@@ -335,12 +357,6 @@ def fuchsian_regular_polygon(genus: int) -> Representation:
 # The Euler class from the rotation cocycle
 # ---------------------------------------------------------------------------
 
-def _polar_angle(m) -> float:
-    """Angle of the rotation R in the polar decomposition m = R P, P
-    symmetric positive definite."""
-    return math.atan2(m[1, 0] - m[0, 1], m[0, 0] + m[1, 1])
-
-
 def _wrap(x: float) -> float:
     """x reduced mod pi into [-pi/2, pi/2)."""
     return (x + math.pi / 2) % math.pi - math.pi / 2
@@ -368,29 +384,34 @@ def euler_class(rep: Representation) -> tuple:
     so the integer does not depend on the lift chosen for each letter; it
     is conjugation invariant, changes sign under orientation reversal,
     and is bounded by 2g - 2 in magnitude (Milnor-Wood)."""
-    acc = np.eye(2)
-    angle = turn = 0.0  # angle is _polar_angle(acc)
+    acc = _IDENTITY
+    angle = turn = 0.0  # angle is the polar angle of acc
     # a product that overflows to inf or nan fails the gate below, so
     # numpy's warnings about it would only repeat the refusal
     with np.errstate(over="ignore", invalid="ignore"):
-        for letter in relator_word(rep.genus):
-            # an inverse letter is the adjugate of the stored matrix, not a
-            # renormalised Moebius: sign normalisation maps a trace-zero
-            # inverse back to the letter itself, whose polar angle is +pi/2
-            # where its inverse's must be -pi/2
-            m = rep.images[abs(letter) - 1].mat
-            g = m if letter > 0 else _adjugate(m)
-            step = _polar_angle(g)
+        for letter in _relator_letters(rep.genus):
+            g = rep.images[abs(letter) - 1].mat
+            (a, b), (c, d) = g.tolist()
+            if letter < 0:
+                # an inverse letter is the adjugate of the stored matrix, not
+                # a renormalised Moebius: sign normalisation maps a trace-zero
+                # inverse back to the letter itself, whose polar angle is
+                # +pi/2 where its inverse's must be -pi/2
+                a, b, c, d = d, -b, -c, a
+                g = np.array([[a, b], [c, d]])
+            step = math.atan2(c - b, a + d)
             acc = acc.dot(g)
-            previous, angle = angle, _polar_angle(acc)
+            (a, b), (c, d) = acc.tolist()
+            previous, angle = angle, math.atan2(c - b, a + d)
             turn += step + _wrap(angle - previous - step)
-    closure = _unit_distance(acc.ravel().tolist(), (1.0, 0.0, 0.0, 1.0))
+    # (a, b), (c, d) are now the rows of the relator product
+    closure = _unit_distance((a, b, c, d), (1.0, 0.0, 0.0, 1.0))
     if not closure <= RELATOR_TOLERANCE:
         raise IntegralityError(
             f"relator residual {closure:.3e} exceeds tolerance {RELATOR_TOLERANCE}, "
             "so no Euler class can be read"
         )
-    turn += _wrap(math.atan2(acc[1, 0], acc[0, 0]) - angle)
+    turn += _wrap(math.atan2(c, a) - angle)
     ratio = turn / math.pi
     nearest = round(ratio)
     residual = abs(ratio - nearest)
@@ -443,7 +464,8 @@ def representation_from_json(data: dict) -> Representation:
             ) from exc
         if not np.isfinite(mat).all():
             raise InputError(f"generator {index} is not a finite 2x2 matrix")
-        det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
+        (a, b), (c, d) = mat.tolist()
+        det = a * d - b * c
         if abs(det - 1.0) > DET_TOLERANCE:
             raise InputError(
                 f"generator {index} has determinant {det}, not 1 "

@@ -12,8 +12,10 @@ from itertools import permutations, product
 
 import numpy as np
 
-from adsvol.errors import InputError
+from adsvol import reps
+from adsvol.errors import InputError, IntegralityError
 from adsvol.liealg import REFERENCE_FRAME, LieElement, _mat_mul
+from adsvol.reps import _adjugate, _unit_distance, _wrap, relator_word
 
 # The three basis matrices written out by hand; object dtype keeps
 # Fraction arithmetic exact through numpy matmul.
@@ -295,3 +297,74 @@ def masked_reference_scan(rho_table, sigma_table, max_len, genus, block_rows, fl
     root = np.array([[1.0, 0.0, 0.0, 1.0]])
     visit(root, root, np.empty((1, 0), alphabet.dtype), np.ones((1, n), bool))
     return best["ratio"], best["witness"], best["scanned"]
+
+
+# The numpy-scalar forms of `reps.Moebius`'s normalisation and of
+# `reps.euler_class`, which read every 2x2 entry as a numpy scalar: the
+# bitwise references for the library's plain-float forms.  ndarray.dot
+# does every product in both, and IEEE scalar ops round the same in
+# numpy and in Python, so the two must agree bit for bit.
+
+def numpy_scalar_moebius(mat) -> np.ndarray:
+    """The determinant-1, nonnegative-trace representative of `mat`."""
+    m = np.array(mat, dtype=float)
+    if m.shape != (2, 2) or not np.isfinite(m).all():
+        raise InputError("Moebius needs a finite 2x2 real matrix")
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    if det <= 0:
+        raise InputError("PSL(2, R) requires positive determinant")
+    m = m / math.sqrt(det)
+    tr = m[0, 0] + m[1, 1]
+    if tr < 0:
+        m = -m
+    elif tr == 0:
+        for entry in m.flat:
+            if entry != 0:
+                if entry < 0:
+                    m = -m
+                break
+    return m
+
+
+def numpy_scalar_relator_residual(rep) -> float:
+    """`reps.relator_residual`: the relator evaluated left to right,
+    normalising every inverse and every product."""
+    identity = numpy_scalar_moebius(np.eye(2))
+    acc = identity
+    for letter in relator_word(rep.genus):
+        m = rep.images[abs(letter) - 1].mat
+        g = m if letter > 0 else numpy_scalar_moebius(_adjugate(m))
+        acc = numpy_scalar_moebius(acc.dot(g))
+    return _unit_distance(acc.ravel().tolist(), identity.ravel().tolist())
+
+
+def _numpy_scalar_polar_angle(m) -> float:
+    """Angle of the rotation R in the polar decomposition m = R P, P
+    symmetric positive definite."""
+    return math.atan2(m[1, 0] - m[0, 1], m[0, 0] + m[1, 1])
+
+
+def numpy_scalar_euler_class(rep) -> tuple:
+    """`reps.euler_class`: (euler, residual), or IntegralityError when the
+    relator does not close within reps.RELATOR_TOLERANCE."""
+    acc = np.eye(2)
+    angle = turn = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for letter in relator_word(rep.genus):
+            m = rep.images[abs(letter) - 1].mat
+            g = m if letter > 0 else _adjugate(m)
+            step = _numpy_scalar_polar_angle(g)
+            acc = acc.dot(g)
+            previous, angle = angle, _numpy_scalar_polar_angle(acc)
+            turn += step + _wrap(angle - previous - step)
+    closure = _unit_distance(acc.ravel().tolist(), (1.0, 0.0, 0.0, 1.0))
+    if not closure <= reps.RELATOR_TOLERANCE:
+        raise IntegralityError(
+            f"relator residual {closure:.3e} exceeds tolerance {reps.RELATOR_TOLERANCE}, "
+            "so no Euler class can be read"
+        )
+    turn += _wrap(math.atan2(acc[1, 0], acc[0, 0]) - angle)
+    ratio = turn / math.pi
+    nearest = round(ratio)
+    residual = abs(ratio - nearest)
+    return nearest, residual

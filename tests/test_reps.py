@@ -3,6 +3,8 @@ rotation cocycle."""
 
 import json
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +29,11 @@ from adsvol.reps import (
     translation_length,
     trivial_representation,
 )
+from _oracles import (
+    numpy_scalar_euler_class,
+    numpy_scalar_moebius,
+    numpy_scalar_relator_residual,
+)
 from conftest import (
     make_mild_g50_rep,
     make_noncommuting_bad_rep,
@@ -47,10 +54,21 @@ def test_moebius_normalizes_determinant():
 
 def test_moebius_sign_convention():
     m = Moebius([[-3.0, 0.0], [0.0, -1.0 / 3.0]])
-    assert m.trace > 0
+    assert m.mat.tolist() == [[3.0, 0.0], [0.0, 1.0 / 3.0]]
+    # trace zero: the first nonzero entry is made positive
     half_turn = Moebius([[0.0, -1.0], [1.0, 0.0]])
-    # trace zero: first nonzero entry is made positive
-    assert half_turn.mat[0, 1] > 0 or half_turn.mat[0, 0] > 0
+    assert half_turn.mat.tolist() == [[0.0, 1.0], [-1.0, 0.0]]
+
+
+def test_moebius_rescales_entries_whose_products_leave_float_range():
+    """ad and bc overflow at 1e200 and underflow to 0 at 1e-200; both
+    scalar matrices are the identity, with no float warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (1e200, 1e-200):
+            assert Moebius([[s, 0.0], [0.0, s]]).mat.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        big = Moebius([[1e200, 0.0], [0.0, 1e200]])
+        assert euler_class(Representation(SurfaceGroup(2), (big,) * 4)) == (0, 0.0)
 
 
 def test_moebius_rejects_bad_matrices():
@@ -60,6 +78,14 @@ def test_moebius_rejects_bad_matrices():
         Moebius([[1.0, 2.0], [2.0, 4.0]])  # det = 0
     with pytest.raises(InputError):
         Moebius([[float("nan"), 0.0], [0.0, 1.0]])
+    # det > 0, but the normalised entries are past the float range: the
+    # first overflows in the rescaling, the second in the division
+    for mat in (
+        [[1e300, 1e-300], [-1e-300, 0.0]],
+        [[2.0**1000, 2.0**1000], [2.0**-1000 - 2.0**-1050, 2.0**-1000]],
+    ):
+        with pytest.raises(InputError, match="overflow"):
+            Moebius(mat)
 
 
 def test_moebius_group_operations(rng):
@@ -258,9 +284,7 @@ def test_euler_class_steep_conjugate(build, euler, bound):
     assert residual <= bound
 
 
-def test_euler_class_half_turn_generators_vanish():
-    """A half-turn has trace exactly 0, so Moebius normalises its inverse
-    back to itself; the inverse letter must still lift to the inverse."""
+def _half_turn_reps():
     half = Moebius([[0.0, -1.0], [1.0, 0.0]])
     stretched = Moebius([[0.0, -4.0], [0.25, 0.0]])
     r = Moebius.rotation(0.3)
@@ -272,7 +296,13 @@ def test_euler_class_half_turn_generators_vanish():
         (stretched, ident, stretched, stretched),
         (half, r, half, half, r * r, half),
     ):
-        rep = Representation(SurfaceGroup(len(images) // 2), images)
+        yield Representation(SurfaceGroup(len(images) // 2), images)
+
+
+def test_euler_class_half_turn_generators_vanish():
+    """A half-turn has trace exactly 0, so Moebius normalises its inverse
+    back to itself; the inverse letter must still lift to the inverse."""
+    for rep in _half_turn_reps():
         assert euler_class(rep) == (0, 0.0)
 
 
@@ -329,6 +359,75 @@ def test_euler_class_reads_relator_tolerance_at_call_time(fuchsian_g2, monkeypat
         euler_class(fuchsian_g2)
 
 
+# ------------------------------------------- numpy-scalar bitwise reference
+
+
+def _random_conjugator(rng):
+    return Moebius([[1.0, rng.uniform(-1, 1)], [rng.uniform(-1, 1), 1.0 + rng.uniform(0, 1)]])
+
+
+def _elliptic(rng):
+    conj = _random_conjugator(rng)
+    return conj * Moebius.rotation(rng.uniform(0.2, 2.9)) * conj.inverse()
+
+
+def _seeded_reps(genus, rng):
+    """Seeded conjugates of the polygon, their orientation flips, powers
+    of one elliptic and unrelated elliptics: the Euler-class inputs of
+    the rep_sweep benchmark."""
+    group = SurfaceGroup(genus)
+    polygon = fuchsian_regular_polygon(genus)
+    for _ in range(5):
+        rep = conjugate(polygon, _random_conjugator(rng))
+        yield rep
+        yield _flipped(rep)
+        base = _elliptic(rng)
+        powers = []
+        for _ in range(2 * genus):
+            m = base
+            for _ in range(rng.randint(0, 4)):
+                m = m * base
+            powers.append(m)
+        yield Representation(group, tuple(powers))
+        yield Representation(group, tuple(_elliptic(rng) for _ in range(2 * genus)))
+
+
+def _euler_bits(euler, rep):
+    try:
+        e, residual = euler(rep)
+    except IntegralityError as exc:
+        return str(exc)
+    return e, residual.hex()
+
+
+def test_float_entries_match_the_numpy_scalar_reference(monkeypatch):
+    """Every normalisation made while building the cases, every relator
+    residual and every Euler class or gate message agrees bit for bit
+    with the numpy-scalar forms in tests/_oracles.py."""
+    big = Moebius([[1e200, 0.0], [0.0, 1e200]])  # the reference overflows here
+    cases = [Representation(SurfaceGroup(2), (big,) * 4)]
+    normalised = []
+    init = Moebius.__init__
+
+    def recording_init(self, mat):
+        init(self, mat)
+        normalised.append((np.array(mat, dtype=float), self.mat))
+
+    monkeypatch.setattr(Moebius, "__init__", recording_init)
+    rng = random.Random(20)
+    cases += [fuchsian_regular_polygon(g) for g in range(2, 61)]
+    for genus in (2, 3):
+        cases += _seeded_reps(genus, rng)
+    cases += _half_turn_reps()
+    cases += [make_steep_conjugate_rep(), make_steep_g6_rep()]
+    for rep in cases:
+        assert relator_residual(rep).hex() == numpy_scalar_relator_residual(rep).hex()
+        assert _euler_bits(euler_class, rep) == _euler_bits(numpy_scalar_euler_class, rep)
+    assert len(normalised) > 10000
+    for mat, out in normalised:
+        assert out.tobytes() == numpy_scalar_moebius(mat).tobytes()
+
+
 # ------------------------------------------------------------- JSON I/O
 
 
@@ -358,6 +457,7 @@ def test_json_reader_rejections(tmp_path):
         {"genus": 1, "generators": []},
         {"genus": 2, "generators": [[[1, 0], [0, 1]]] * 3},
         {"genus": 2, "generators": [[[2, 0], [0, 1]]] * 4},
+        {"genus": 2, "generators": [[[1e200, 0], [0, 1e200]]] * 4},  # det overflows
         {"generators": [[[1, 0], [0, 1]]] * 4},
         [1, 2, 3],
     ]
