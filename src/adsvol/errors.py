@@ -17,8 +17,8 @@ def _require_int(name: str, value) -> None:
 
 class IntegralityError(RuntimeError):
     """The relator of a representation does not close within
-    reps.RELATOR_TOLERANCE, so its lifted displacement need not round to
-    the right multiple of pi and no Euler class can be read off."""
+    reps.RELATOR_TOLERANCE, so it is not +-I up to noise and no Euler
+    class can be read off its orientation signs."""
 
 
 class VerificationError(RuntimeError):

@@ -2,7 +2,7 @@
 
 This module is deliberately floating-point: representations live in
 double precision, and the Euler class is read as an integer from the
-relator lifted to the universal cover, behind one gate on how closely
+signs of the relator's prefix products, behind one gate on how closely
 the relator closes.
 Exact arithmetic stays in `liealg` / `forms` / `invariants`.
 
@@ -15,20 +15,20 @@ Conventions
   a1, b1, ..., ag, bg subject to prod_i [a_i, b_i] = 1.  Word letters
   are nonzero integers: letter 2i-1 is a_i, letter 2i is b_i, negatives
   are inverses.
-* P^1(R) is parametrised by the angle x in R/(pi Z) of the line through
-  direction (cos x, sin x).  A matrix m = [[a, b], [c, d]] factors as
-  m = R P with R the rotation by its polar angle
-  theta(m) = atan2(c - b, a + d) and P symmetric positive definite; R
-  adds theta(m) to line angles and P moves every line by less than pi/2.
-  A lift of m to the universal cover is m with a real value of theta(m).
-* Lifts multiply through the Guichardet-Wigner (Milnor) rotation cocycle
-  theta(gh) - theta(g) - theta(h), which lies strictly within pi/2 of 0
-  mod pi (Wood 1971; Ghys, "Groups acting on the circle", 2001, sec. 6),
-  so reducing it into [-pi/2, pi/2) fixes the branch with no guard.
-* euler_class lifts every letter through its polar angle, reads the
-  lifted relator at the line of angle 0 and divides by pi.  With these
-  conventions the regular-polygon Fuchsian representation of genus g has
-  Euler class -(2g - 2); e.g. fuchsian_regular_polygon(2) -> -2.
+* P^1(R) is the set of lines through 0 in R^2, and x is the line at
+  angle 0, spanned by (1, 0).  Three lines spanned by u, v, w are
+  positively oriented when their angles increase counterclockwise mod
+  pi; their orientation is sign(det(u, v) det(v, w) det(u, w)), which no
+  change of sign of a spanning vector alters.  A matrix [[a, b], [c, d]]
+  sends x to the line through (a, c), and det((1, 0), (a, c)) = c.
+* euler_class sums the orientations of the ideal triangles that fan out
+  from x over the images of x under the relator's prefix products.
+  That fan evaluates the orientation cocycle, twice the bounded Euler
+  class, on the fundamental class (Ghys, "Groups acting on the circle",
+  2001, sec. 6; Burger-Iozzi-Wienhard, Ann. of Math. 2010), and the
+  Euler class is minus half the sum.  With these conventions the
+  regular-polygon Fuchsian representation of genus g has Euler class
+  -(2g - 2); e.g. fuchsian_regular_polygon(2) -> -2.
 * euler_class has one gate, on the relator: it refuses a representation
   whose relator product lies farther than RELATOR_TOLERANCE from the
   identity, and the integrality residual it returns only reports.
@@ -354,68 +354,67 @@ def fuchsian_regular_polygon(genus: int) -> Representation:
 
 
 # ---------------------------------------------------------------------------
-# The Euler class from the rotation cocycle
+# The Euler class as a sum of orientation signs
 # ---------------------------------------------------------------------------
 
-def _wrap(x: float) -> float:
-    """x reduced mod pi into [-pi/2, pi/2)."""
-    return (x + math.pi / 2) % math.pi - math.pi / 2
-
-
 def euler_class(rep: Representation) -> tuple:
-    """(euler, residual): the lifted relator read at the line of angle 0,
-    divided by pi and rounded to the nearest integer.
+    """(euler, residual): minus half the orientation sum of the ideal
+    triangles (x, M_k x, M_{k+1} x), with x the line at angle 0.
 
-    The relator's lift accumulates each letter's polar angle and the
-    rotation cocycle.  Its image of the line at angle 0 is that total
-    plus the wrapped angle from theta(relator) to the image line; reading
-    there rather than at theta(relator) keeps drift in the relator's
-    upper-right entry, which fixes that line, out of the gate.
+    M_k is the product of the relator's first k letters, C_k its
+    lower-left entry and c_k that of letter k; an inverse letter is the
+    adjugate of the stored matrix.  The triangle's orientation is
+    sign(C_k c_{k+1} C_{k+1}), so with R = M_{4g} the relator product
 
-    The one gate is on the relator: when the product R of the relator's
-    letters lies farther than RELATOR_TOLERANCE (read at call time) from
-    the identity in unit-norm distance mod sign, or that distance is not
-    a number, the representation has no readable Euler class and an
-    IntegralityError is raised.  Within distance 1/sqrt(2), u^T R u > 0
-    for every unit vector u (for the sign of R nearer the identity), so
-    R moves every line by less than pi/2 and the rounding is exact;
-    residual, the distance of the ratio from the integer, only reports.
-    The relator is a product of commutators,
-    so the integer does not depend on the lift chosen for each letter; it
-    is conjugation invariant, changes sign under orientation reversal,
-    and is bounded by 2g - 2 in magnitude (Milnor-Wood)."""
+        euler = -(1/2) sum_{k=1}^{4g-2} sign(C_k c_{k+1} C_{k+1}),
+
+    where C_{4g-1}, the lower-left entry of M_{4g-1} = R b_g, is read as
+    sign(R_11) c(b_g).  Rounding can only flip signs near 0, and those
+    flips cancel:
+    * when C_k crosses 0, M_k x passes through x, and the two terms that
+      hold C_k flip together;
+    * a_i and a_i^-1 carry the same c up to sign, as do b_i and b_i^-1,
+      so when one crosses 0 the two terms that hold them flip together;
+    * only C_{4g-1} depends on how closely the relator closes, and it
+      sits in a single term; the substitution reads it from b_g alone.
+    There are 4g - 2 terms and zeros come in pairs, so the sum is even.
+
+    The one gate is on the relator: when R lies farther than
+    RELATOR_TOLERANCE (read at call time) from the identity in unit-norm
+    distance mod sign, or that distance is not a number, the
+    representation has no readable Euler class and an IntegralityError
+    is raised.  residual is the angle by which R moves x, over pi (the
+    gate keeps |R_11| near 1), added to the integer and taken off it
+    again, so it only reports and noise below half an ulp of |euler|
+    reads 0.0.  The integer is conjugation invariant, changes sign under
+    orientation reversal, and is bounded by 2g - 2 in magnitude
+    (Milnor-Wood)."""
     acc = _IDENTITY
-    angle = turn = 0.0  # angle is the polar angle of acc
+    signs = []  # (sign of C_k, sign of c_k)
     # a product that overflows to inf or nan fails the gate below, so
     # numpy's warnings about it would only repeat the refusal
     with np.errstate(over="ignore", invalid="ignore"):
         for letter in _relator_letters(rep.genus):
             g = rep.images[abs(letter) - 1].mat
-            (a, b), (c, d) = g.tolist()
             if letter < 0:
-                # an inverse letter is the adjugate of the stored matrix, not
-                # a renormalised Moebius: sign normalisation maps a trace-zero
-                # inverse back to the letter itself, whose polar angle is
-                # +pi/2 where its inverse's must be -pi/2
-                a, b, c, d = d, -b, -c, a
-                g = np.array([[a, b], [c, d]])
-            step = math.atan2(c - b, a + d)
+                (a, b), (c, d) = g.tolist()
+                g = np.array([[d, -b], [-c, a]])
             acc = acc.dot(g)
-            (a, b), (c, d) = acc.tolist()
-            previous, angle = angle, math.atan2(c - b, a + d)
-            turn += step + _wrap(angle - previous - step)
-    # (a, b), (c, d) are now the rows of the relator product
+            lower, c = acc.item(2), g.item(2)
+            signs.append(((lower > 0) - (lower < 0), (c > 0) - (c < 0)))
+    (a, b), (c, d) = acc.tolist()
     closure = _unit_distance((a, b, c, d), (1.0, 0.0, 0.0, 1.0))
     if not closure <= RELATOR_TOLERANCE:
         raise IntegralityError(
             f"relator residual {closure:.3e} exceeds tolerance {RELATOR_TOLERANCE}, "
             "so no Euler class can be read"
         )
-    turn += _wrap(math.atan2(c, a) - angle)
-    ratio = turn / math.pi
-    nearest = round(ratio)
-    residual = abs(ratio - nearest)
-    return nearest, residual
+    prefix, letters = zip(*signs)
+    # C_{4g-1} is the lower-left entry of R b_g, read with R = sign(R_11) I
+    prefix = prefix[:-2] + (((a > 0) - (a < 0)) * letters[-3],)
+    euler = -sum(p * m * q for p, m, q in zip(prefix, letters[1:-1], prefix[1:])) // 2
+    ratio = euler + math.atan(c / a) / math.pi
+    return euler, abs(ratio - euler)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 from adsvol import reps
 from adsvol.errors import InputError, IntegralityError
 from adsvol.liealg import REFERENCE_FRAME, LieElement, _mat_mul
-from adsvol.reps import _adjugate, _unit_distance, _wrap, relator_word
+from adsvol.reps import _adjugate, _unit_distance, relator_word
 
 # The three basis matrices written out by hand; object dtype keeps
 # Fraction arithmetic exact through numpy matmul.
@@ -299,11 +299,13 @@ def masked_reference_scan(rho_table, sigma_table, max_len, genus, block_rows, fl
     return best["ratio"], best["witness"], best["scanned"]
 
 
-# The numpy-scalar forms of `reps.Moebius`'s normalisation and of
-# `reps.euler_class`, which read every 2x2 entry as a numpy scalar: the
+# The numpy-scalar forms of `reps.Moebius`'s normalisation and of the
+# relator products, which read every 2x2 entry as a numpy scalar: the
 # bitwise references for the library's plain-float forms.  ndarray.dot
 # does every product in both, and IEEE scalar ops round the same in
-# numpy and in Python, so the two must agree bit for bit.
+# numpy and in Python, so the two must agree bit for bit.  The Euler
+# class here is read by the angle walk the sign sum replaced: an
+# independent reference for the integer and the gate.
 
 def numpy_scalar_moebius(mat) -> np.ndarray:
     """The determinant-1, nonnegative-trace representative of `mat`."""
@@ -338,6 +340,36 @@ def numpy_scalar_relator_residual(rep) -> float:
     return _unit_distance(acc.ravel().tolist(), identity.ravel().tolist())
 
 
+def numpy_scalar_prefix_products(rep) -> tuple:
+    """(letters, prefixes): the relator's letters, each inverse the
+    adjugate of the stored matrix, and their products from the left by
+    ndarray.dot, the identity first and the relator product last."""
+    letters, prefixes = [], [np.eye(2)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in relator_word(rep.genus):
+            m = rep.images[abs(x) - 1].mat
+            letters.append(m if x > 0 else _adjugate(m))
+            prefixes.append(prefixes[-1].dot(letters[-1]))
+    return letters, prefixes
+
+
+def orientation_sign_sum(rep) -> int:
+    """The sum of sign(C_k c_{k+1} C_{k+1}) over k = 1 .. 4g-2, from the
+    lower-left entries C_k of the prefix products and c_k of the letters,
+    with C_{4g-1} read as sign(R_11) c(b_g): the sum `reps.euler_class`
+    halves, which must be even."""
+    letters, prefixes = numpy_scalar_prefix_products(rep)
+    lower = np.sign([p[1, 0] for p in prefixes[1:]])
+    lower[-2] = np.sign(prefixes[-1][0, 0]) * np.sign(letters[-3][1, 0])
+    mids = np.sign([m[1, 0] for m in letters])
+    return int(sum(lower[k] * mids[k + 1] * lower[k + 1] for k in range(len(letters) - 2)))
+
+
+def _wrap(x: float) -> float:
+    """x reduced mod pi into [-pi/2, pi/2)."""
+    return (x + math.pi / 2) % math.pi - math.pi / 2
+
+
 def _numpy_scalar_polar_angle(m) -> float:
     """Angle of the rotation R in the polar decomposition m = R P, P
     symmetric positive definite."""
@@ -345,8 +377,13 @@ def _numpy_scalar_polar_angle(m) -> float:
 
 
 def numpy_scalar_euler_class(rep) -> tuple:
-    """`reps.euler_class`: (euler, residual), or IntegralityError when the
-    relator does not close within reps.RELATOR_TOLERANCE."""
+    """(euler, residual) read by the angle walk, or IntegralityError when
+    the relator does not close within reps.RELATOR_TOLERANCE.
+
+    Every letter lifts to the universal cover through its polar angle,
+    products lift through the Guichardet-Wigner rotation cocycle reduced
+    into [-pi/2, pi/2), and the lifted relator is read at the line of
+    angle 0 and divided by pi."""
     acc = np.eye(2)
     angle = turn = 0.0
     with np.errstate(over="ignore", invalid="ignore"):

@@ -52,7 +52,7 @@ def make_steep_conjugate_rep():
 def make_steep_g6_rep():
     """The genus-6 polygon conjugated by R(a) diag(k, 1/k) R(b) with
     k = 19.6: its relator closes to 7.0e-5, inside RELATOR_TOLERANCE,
-    and its lifted displacement is 2.6e-5 from the Euler class -10."""
+    and its Euler class -10 reads with residual 2.6e-5."""
     k = 19.605932591709973
     conj = (
         reps.Moebius.rotation(1.7792134278210545)
@@ -65,7 +65,7 @@ def make_steep_g6_rep():
 def make_mild_g50_rep():
     """The genus-50 polygon conjugated by [[1, u], [v, 1.5]], u and v
     the first two draws of random.Random(1).uniform(-1, 1): its relator
-    closes to 1.7e-5 and its lifted displacement is 2.5e-6 from -98."""
+    closes to 1.7e-5 and its Euler class -98 reads with residual 2.5e-6."""
     draws = random.Random(1)
     u, v = draws.uniform(-1, 1), draws.uniform(-1, 1)
     conj = reps.Moebius([[1.0, u], [v, 1.5]])

@@ -275,9 +275,9 @@ def test_lipschitz_depth_past_the_cap_exits_two_at_once(tmp_path, capsys):
 
 def _unclosed_rep():
     """The g=2 polygon conjugated by diag(1e6, 1e-6) R(0.7): steep enough
-    that its relator misses by about 1.8e-2, though its lifted
-    displacement still rounds to -2 with an integrality residual near
-    4e-16; euler_class refuses it on the relator."""
+    that its relator misses by about 1.8e-2, though its orientation
+    signs still sum to the class -2; euler_class refuses it on the
+    relator."""
     conj = reps.Moebius([[1e6, 0.0], [0.0, 1e-6]]) * reps.Moebius.rotation(0.7)
     return reps.conjugate(reps.fuchsian_regular_polygon(2), conj)
 

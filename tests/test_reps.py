@@ -1,5 +1,5 @@
-"""Surface-group representations and Euler classes read from the
-rotation cocycle."""
+"""Surface-group representations and Euler classes read as sums of
+orientation signs."""
 
 import json
 import math
@@ -32,7 +32,9 @@ from adsvol.reps import (
 from _oracles import (
     numpy_scalar_euler_class,
     numpy_scalar_moebius,
+    numpy_scalar_prefix_products,
     numpy_scalar_relator_residual,
+    orientation_sign_sum,
 )
 from conftest import (
     make_mild_g50_rep,
@@ -230,7 +232,7 @@ def test_fuchsian_polygon_rejects_low_genus():
         fuchsian_regular_polygon(1)
 
 
-# ------------------------------------------------------- rotation cocycle
+# ------------------------------------------------------ orientation signs
 
 
 def _flipped(rep):
@@ -299,11 +301,26 @@ def _half_turn_reps():
         yield Representation(SurfaceGroup(len(images) // 2), images)
 
 
+def _sign_sum_residual(euler, rep):
+    """The residual euler_class derives from its integer: the angle by
+    which the relator product moves the line at angle 0, over pi, added
+    to the integer and taken off again; the product is the oracle's."""
+    (r11, _), (r21, _) = numpy_scalar_prefix_products(rep)[1][-1].tolist()
+    return abs(euler + math.atan(r21 / r11) / math.pi - euler)
+
+
 def test_euler_class_half_turn_generators_vanish():
     """A half-turn has trace exactly 0, so Moebius normalises its inverse
-    back to itself; the inverse letter must still lift to the inverse."""
-    for rep in _half_turn_reps():
+    back to itself; the inverse letter is still read as the adjugate.
+    The g=2 relators close exactly; the g=3 one moves the line at angle
+    0 by about 1e-17, which its residual reports."""
+    *closed, mixed = _half_turn_reps()
+    for rep in closed:
         assert euler_class(rep) == (0, 0.0)
+    e, residual = euler_class(mixed)
+    assert e == 0
+    assert residual.hex() == _sign_sum_residual(0, mixed).hex()
+    assert 0.0 < residual < 1e-16
 
 
 # ------------------------------------------------------------ euler class
@@ -359,6 +376,30 @@ def test_euler_class_reads_relator_tolerance_at_call_time(fuchsian_g2, monkeypat
         euler_class(fuchsian_g2)
 
 
+def _eigenline_angles(m):
+    """Angles of the two eigenlines of a hyperbolic matrix."""
+    _, vectors = np.linalg.eig(m.mat)
+    return [math.atan2(v[1], v[0]) for v in vectors.T]
+
+
+@pytest.mark.parametrize("genus", [2, 3, 5, 10])
+def test_euler_class_generator_fixing_the_line_at_angle_zero(genus):
+    """Conjugates of the polygon that put a generator's eigenline within
+    1e-16 .. 1e-9 of the line at angle 0, where that letter's lower-left
+    entry is rounding noise: its sign flips cancel in pairs, and reading
+    C_{4g-1} from b_g keeps the last one out of the relator's noise."""
+    polygon = fuchsian_regular_polygon(genus)
+    rng = random.Random(genus)
+    for m in polygon.images:
+        for angle in _eigenline_angles(m):
+            for side in (1.0, -1.0, 1.0, -1.0):
+                offset = side * 10.0 ** rng.uniform(-16.0, -9.0)
+                rep = conjugate(polygon, Moebius.rotation(offset - angle))
+                e, _ = euler_class(rep)
+                assert abs(e) <= 2 * genus - 2
+                assert e == -(2 * genus - 2) == numpy_scalar_euler_class(rep)[0]
+
+
 # ------------------------------------------- numpy-scalar bitwise reference
 
 
@@ -392,18 +433,20 @@ def _seeded_reps(genus, rng):
         yield Representation(group, tuple(_elliptic(rng) for _ in range(2 * genus)))
 
 
-def _euler_bits(euler, rep):
+def _euler_outcome(euler, rep):
     try:
-        e, residual = euler(rep)
+        return euler(rep)
     except IntegralityError as exc:
         return str(exc)
-    return e, residual.hex()
 
 
 def test_float_entries_match_the_numpy_scalar_reference(monkeypatch):
-    """Every normalisation made while building the cases, every relator
-    residual and every Euler class or gate message agrees bit for bit
-    with the numpy-scalar forms in tests/_oracles.py."""
+    """Every normalisation made while building the cases and every
+    relator residual agrees bit for bit with the numpy-scalar forms in
+    tests/_oracles.py.  Every Euler class equals the angle walk's, or
+    both gates refuse with the same message; its sign sum is even, and
+    its residual is bitwise the one formed from the oracle's relator
+    product and within 1e-13 of the angle walk's."""
     big = Moebius([[1e200, 0.0], [0.0, 1e200]])  # the reference overflows here
     cases = [Representation(SurfaceGroup(2), (big,) * 4)]
     normalised = []
@@ -422,7 +465,17 @@ def test_float_entries_match_the_numpy_scalar_reference(monkeypatch):
     cases += [make_steep_conjugate_rep(), make_steep_g6_rep()]
     for rep in cases:
         assert relator_residual(rep).hex() == numpy_scalar_relator_residual(rep).hex()
-        assert _euler_bits(euler_class, rep) == _euler_bits(numpy_scalar_euler_class, rep)
+        got = _euler_outcome(euler_class, rep)
+        walked = _euler_outcome(numpy_scalar_euler_class, rep)
+        if isinstance(walked, str):
+            assert got == walked
+            continue
+        (e, residual), (walked_e, walked_residual) = got, walked
+        total = orientation_sign_sum(rep)
+        assert total % 2 == 0
+        assert e == -total // 2 == walked_e
+        assert residual.hex() == _sign_sum_residual(e, rep).hex()
+        assert abs(residual - walked_residual) <= 1e-13
     assert len(normalised) > 10000
     for mat, out in normalised:
         assert out.tobytes() == numpy_scalar_moebius(mat).tobytes()
