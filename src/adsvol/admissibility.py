@@ -25,6 +25,7 @@ shortlex-least word.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -154,7 +155,11 @@ def _scan(rho_table, sigma_table, max_len, genus):
     O(_BLOCK_ROWS * max_len).  Words of equal length are met in shortlex
     order, so a later maximum replaces the best only when it is larger,
     or equal and shorter.  Products accumulate left to right in plain
-    float arithmetic, so the blocking does not change a single rounding."""
+    float arithmetic, so the blocking does not change a single rounding.
+    A product that leaves the float range is scored 0 or not at all,
+    which still bounds from below, unless it makes a block's best ratio
+    inf or nan (inf / inf): no bound can be read then, so the scan raises
+    InputError, and numpy's overflow warnings stay quiet."""
     order = letter_order(genus)
     n = len(order)
     alphabet = np.arange(n, dtype=np.min_scalar_type(n))
@@ -175,6 +180,11 @@ def _scan(rho_table, sigma_table, max_len, genus):
         )
         i = int(np.argmax(ratio))
         r = float(ratio.flat[i])
+        if not math.isfinite(r):
+            raise InputError(
+                f"word products leave the float range by length {length}; "
+                "scan a shorter depth"
+            )
         if r >= 0.0 and (
             best_witness is None
             or r > best_ratio
@@ -197,7 +207,8 @@ def _scan(rho_table, sigma_table, max_len, genus):
             visit(rho_m[part], sigma_m[part], letters[part], keep[letters[part, -1]])
 
     root = np.array([[1.0, 0.0, 0.0, 1.0]])
-    visit(root, root, np.empty((1, 0), alphabet.dtype), np.ones((1, n), bool))
+    with np.errstate(over="ignore", invalid="ignore"):
+        visit(root, root, np.empty((1, 0), alphabet.dtype), np.ones((1, n), bool))
     witness = Word(best_witness) if best_witness is not None else None
     return best_ratio, witness, scanned
 
@@ -213,7 +224,8 @@ def lipschitz_lower_bound(
 
     Returns 0 with no witness when nothing clears the floor.  Ties go
     to the shortlex-least word, and the result is bitwise independent of
-    the scan's block size."""
+    the scan's block size.  Raises InputError when the word products
+    leave the float range before max_len."""
     if rho.genus != sigma.genus:
         raise InputError("rho and sigma must have the same genus")
     _require_int("max_len", max_len)

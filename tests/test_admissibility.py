@@ -354,6 +354,12 @@ def test_invalid_parameters_rejected(fuchsian_g2):
         lipschitz_lower_bound(fuchsian_g2, fuchsian_g2, max_len=0)
 
 
+def test_products_leaving_the_float_range_are_refused(fuchsian_g2):
+    big = Representation(SurfaceGroup(2), [Moebius([[1e60, 0.0], [0.0, 1e-60]])] * 4)
+    with pytest.raises(InputError, match="float range by length 6"):
+        lipschitz_lower_bound(fuchsian_g2, big, max_len=6)
+
+
 @pytest.mark.parametrize(
     "max_len, message",
     [

@@ -1,6 +1,7 @@
 """End-to-end CLI contract: JSON stdout, stderr summaries, exit codes."""
 
 import json
+import math
 import re
 import time
 import warnings
@@ -19,8 +20,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def parse_single_json(stdout):
-    payload = json.loads(stdout)
+    payload = json.loads(stdout, parse_constant=_reject_constant)
     assert isinstance(payload, dict)
     return payload
 
@@ -271,6 +276,49 @@ def test_lipschitz_depth_past_the_cap_exits_two_at_once(tmp_path, capsys):
     assert out == ""
     assert err.startswith("input error: scanning to depth 5089 goes over the cap")
     assert "Traceback" not in err
+
+
+def _overflowing_sigma(tmp_path):
+    """Four copies of diag(1e60, 1e-60): Euler class 0 and a relator that
+    closes, but words of length 6 overflow their products to inf."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(
+        {"genus": 2, "generators": [[[1e60, 0.0], [0.0, 1e-60]]] * 4}
+    ))
+    return path
+
+
+def test_lipschitz_overflowing_products_exit_two(tmp_path, capsys):
+    rho = tmp_path / "rho.json"
+    save_representation(reps.fuchsian_regular_polygon(2), rho)
+    sigma = _overflowing_sigma(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            capsys, "lipschitz", "--rho", str(rho), "--sigma", str(sigma),
+            "--max-word-len", "6",
+        )
+    assert [str(w.message) for w in caught] == []
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "input error: word products leave the float range by length 6; "
+        "scan a shorter depth\n"
+    )
+
+
+def test_lipschitz_overflowing_sigma_reads_a_finite_bound_below_the_overflow(
+    tmp_path, capsys
+):
+    rho = tmp_path / "rho.json"
+    save_representation(reps.fuchsian_regular_polygon(2), rho)
+    code, out, _ = run_cli(
+        capsys, "lipschitz", "--rho", str(rho), "--sigma", str(_overflowing_sigma(tmp_path)),
+        "--max-word-len", "5",
+    )
+    assert code == 0
+    bound = parse_single_json(out)["lipschitz_lower_bound"]
+    assert math.isfinite(bound) and bound > 1.0
 
 
 def _unclosed_rep():

@@ -1,10 +1,11 @@
-"""Package namespace: lazy re-exports and which layers load numpy.
+"""Package namespace: its submodules, loaded lazily, and which layers
+load numpy.
 
-`import adsvol` resolves its re-exports and submodules on first access,
-so the exact layers (liealg, forms, invariants) and the CLI's `volume`
-and `cs` commands run without numpy.  Import effects are checked in a
-fresh interpreter, because this test session has already imported every
-layer.
+`import adsvol` holds only its submodules, each imported on first
+access, so the exact layers (liealg, forms, invariants) and the CLI's
+`volume` and `cs` commands run without numpy.  Import effects are
+checked in a fresh interpreter, because this test session has already
+imported every layer.
 """
 
 import os
@@ -14,23 +15,6 @@ import sys
 import pytest
 
 import adsvol
-
-#: The names `adsvol/__init__` re-exported when it imported every layer
-#: eagerly; each must keep resolving from the package.
-EXPORTS = (
-    "AdmissibilityReport", "LipschitzEstimate", "admissibility_report",
-    "lipschitz_lower_bound", "ConventionWarning", "InputError",
-    "IntegralityError", "ConnectionPath", "EndValuedForm", "bracket_wedge",
-    "canonical_maurer_cartan", "cs_density", "curvature_at", "invariant_d",
-    "maurer_cartan_residual", "path_integral_coefficient", "wedge_trace",
-    "AdSDescriptor", "chasles", "cs_pair", "cs_rho_id", "cs_scale",
-    "geometry_calibration", "unit_tangent_volume", "vol_from_cs", "volume",
-    "LieElement", "adjoint", "bracket", "killing", "metric",
-    "omega", "volume_form", "Moebius", "Representation",
-    "SurfaceGroup", "Word", "euler_class", "evaluate",
-    "fuchsian_regular_polygon", "load_representation", "relator_residual",
-    "save_representation", "translation_length", "trivial_representation",
-)
 
 
 def run_fresh(code):
@@ -71,23 +55,24 @@ def test_float_layers_load_numpy():
     assert numpy_loaded_after("import adsvol.reps") == "True"
 
 
-def test_reexports_resolve():
-    namespace = dir(adsvol)
-    for name in EXPORTS:
-        value = getattr(adsvol, name)
-        scope = {}
-        exec(f"from adsvol import {name}", scope)
-        assert scope[name] is value
-        assert name in namespace
+def test_namespace_is_the_submodules():
+    assert adsvol.__all__ == (
+        "liealg", "forms", "invariants", "reps", "admissibility", "errors",
+        "verify", "cli",
+    )
+    with pytest.raises(ImportError):
+        exec("from adsvol import euler_class", {})
+    from adsvol.reps import euler_class
+
+    assert euler_class is adsvol.reps.euler_class
 
 
 def test_bare_import_resolves_float_submodules():
     lines = run_fresh(
         "import adsvol\n"
-        "print(adsvol.reps.__name__, adsvol.admissibility.__name__)\n"
-        "print(adsvol.euler_class is adsvol.reps.euler_class)"
+        "print(adsvol.reps.__name__, adsvol.admissibility.__name__)"
     )
-    assert lines == ["adsvol.reps adsvol.admissibility", "True"]
+    assert lines == ["adsvol.reps adsvol.admissibility"]
 
 
 def test_unknown_name_raises_attribute_error():
