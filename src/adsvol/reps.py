@@ -12,9 +12,10 @@ Conventions
   with the sign representative chosen so the trace is nonnegative (first
   nonzero entry positive when the trace vanishes).
 * The fundamental group of the closed genus-g surface is generated by
-  a1, b1, ..., ag, bg subject to prod_i [a_i, b_i] = 1.  Word letters
-  are nonzero integers: letter 2i-1 is a_i, letter 2i is b_i, negatives
-  are inverses.
+  a1, b1, ..., ag, bg subject to prod_i [a_i, b_i] = 1.  A letter is a
+  nonzero integer: letter 2i-1 is a_i, letter 2i is b_i, negatives are
+  inverses.  The relator is the one word evaluated here; a Word is only
+  the reduced witness a Lipschitz scan reports.
 * P^1(R) is the set of lines through 0 in R^2, and x is the line at
   angle 0, spanned by (1, 0).  Three lines spanned by u, v, w are
   positively oriented when their angles increase counterclockwise mod
@@ -122,10 +123,6 @@ class Moebius:
         return cls([[math.cos(alpha), -math.sin(alpha)],
                     [math.sin(alpha), math.cos(alpha)]])
 
-    @property
-    def trace(self) -> float:
-        return float(self.mat[0, 0] + self.mat[1, 1])
-
     def __mul__(self, other: "Moebius") -> "Moebius":
         return Moebius(self.mat.dot(other.mat))
 
@@ -145,29 +142,13 @@ class Moebius:
         return f"Moebius({self.mat.tolist()!r})"
 
 
-def translation_length(m: Moebius) -> float:
-    """2 arccosh(|tr|/2) for hyperbolic elements, 0 otherwise.
-
-    This is a class function: it only reads the trace, which is
-    conjugation invariant."""
-    half = abs(m.trace) / 2.0
-    if half <= 1.0:
-        return 0.0
-    return 2.0 * math.acosh(half)
-
-
-def _check_letter(x) -> None:
-    """A word letter is a nonzero int; bool is refused."""
-    if not isinstance(x, int) or isinstance(x, bool) or x == 0:
-        raise InputError(f"letters must be nonzero integers, got {x!r}")
-
-
 @dataclass(frozen=True)
 class Word:
-    """Reduced word in the free group on 2g letters.
+    """Reduced word in the free group on 2g letters: the witness of a
+    Lipschitz scan.
 
-    Letters are nonzero integers; a letter may not be followed by its
-    negative.  Use Word.reduced to build from an unreduced sequence."""
+    Letters are nonzero integers (bool is refused); a letter may not be
+    followed by its negative."""
 
     letters: tuple = ()
 
@@ -175,27 +156,11 @@ class Word:
         letters = tuple(self.letters)
         object.__setattr__(self, "letters", letters)
         for x in letters:
-            _check_letter(x)
+            if not isinstance(x, int) or isinstance(x, bool) or x == 0:
+                raise InputError(f"letters must be nonzero integers, got {x!r}")
         for x, y in zip(letters, letters[1:]):
             if x == -y:
                 raise InputError(f"word {letters} is not reduced")
-
-    @classmethod
-    def reduced(cls, seq) -> "Word":
-        stack = []
-        for x in seq:
-            _check_letter(x)
-            if stack and stack[-1] == -x:
-                stack.pop()
-            else:
-                stack.append(x)
-        return cls(tuple(stack))
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
 
 
 def _relator_letters(genus: int) -> list:
@@ -205,11 +170,6 @@ def _relator_letters(genus: int) -> list:
         a, b = 2 * i - 1, 2 * i
         letters += [a, b, -a, -b]
     return letters
-
-
-def relator_word(genus: int) -> Word:
-    """prod_i a_i b_i a_i^-1 b_i^-1 as a reduced word."""
-    return Word(tuple(_relator_letters(genus)))
 
 
 @dataclass(frozen=True)
@@ -248,33 +208,23 @@ class Representation:
     def genus(self) -> int:
         return self.group.genus
 
-    def generator(self, letter: int) -> Moebius:
-        _check_letter(letter)
-        index = abs(letter) - 1
-        if index >= len(self.images):
-            raise InputError(f"letter {letter} out of range for genus {self.genus}")
-        image = self.images[index]
-        return image if letter > 0 else image.inverse()
-
 
 def trivial_representation(genus: int) -> Representation:
     group = SurfaceGroup(genus)
     return Representation(group, tuple(Moebius.identity() for _ in range(group.rank)))
 
 
-def evaluate(rep: Representation, word: Word) -> Moebius:
-    """Image of a word, multiplying images left to right."""
-    result = Moebius.identity()
-    for letter in word:
-        result = result * rep.generator(letter)
-    return result
-
-
 def relator_residual(rep: Representation) -> float:
-    """Distance (mod sign) of the evaluated surface relator from the
-    identity; reported, never rejected (`adsvol rep` gates it against
-    RELATOR_TOLERANCE, as euler_class gates its own relator product)."""
-    return evaluate(rep, relator_word(rep.genus)).dist_mod_sign(Moebius.identity())
+    """Distance (mod sign) of the surface relator from the identity, its
+    images multiplied left to right as Moebius elements, so every inverse
+    and every product is normalised; reported, never rejected (`adsvol
+    rep` gates it against RELATOR_TOLERANCE, as euler_class gates its own
+    relator product)."""
+    acc = Moebius.identity()
+    for letter in _relator_letters(rep.genus):
+        image = rep.images[abs(letter) - 1]
+        acc = acc * (image if letter > 0 else image.inverse())
+    return acc.dist_mod_sign(Moebius.identity())
 
 
 def conjugate(rep: Representation, m: Moebius) -> Representation:
@@ -339,17 +289,18 @@ def fuchsian_regular_polygon(genus: int) -> Representation:
     n = 4 * genus
     circumradius = math.acosh(1.0 / math.tan(math.pi / n) ** 2)
     r = math.tanh(circumradius / 2.0)
-    vertices = [r * np.exp(2j * math.pi * j / n) for j in range(n)]
 
-    def pairing(j: int) -> np.ndarray:
-        g_target = _su_align(vertices[j % n], vertices[(j + 1) % n])
-        g_source = _su_align(vertices[(j + 3) % n], vertices[(j + 2) % n])
-        return _adjugate(g_target).dot(g_source)
+    def pairing(v0: complex, v1: complex, v2: complex, v3: complex) -> np.ndarray:
+        """The isometry carrying the oriented edge (v3, v2) to (v0, v1)."""
+        return _adjugate(_su_align(v0, v1)).dot(_su_align(v3, v2))
 
     images = []
     for i in range(genus):
-        images.append(_su_to_moebius(pairing(4 * i)))
-        images.append(_su_to_moebius(_adjugate(pairing(4 * i + 1))))
+        # only this pair's vertices 4i .. 4i+4: no list of all 4g is held,
+        # so a genus refused at its first generator is refused at once
+        v = [r * np.exp(2j * math.pi * (j % n) / n) for j in range(4 * i, 4 * i + 5)]
+        images.append(_su_to_moebius(pairing(*v[:4])))
+        images.append(_su_to_moebius(_adjugate(pairing(*v[1:]))))
     return Representation(group, tuple(images))
 
 

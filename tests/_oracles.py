@@ -15,7 +15,7 @@ import numpy as np
 from adsvol import reps
 from adsvol.errors import InputError, IntegralityError
 from adsvol.liealg import REFERENCE_FRAME, LieElement, _mat_mul
-from adsvol.reps import _adjugate, _unit_distance, relator_word
+from adsvol.reps import _adjugate, _unit_distance
 
 # The three basis matrices written out by hand; object dtype keeps
 # Fraction arithmetic exact through numpy matmul.
@@ -202,6 +202,41 @@ def moebius_apply(mat, z):
     return (a * z + b) / (c * z + d)
 
 
+def relator_word(genus) -> tuple:
+    """The letters of a1 b1 a1^-1 b1^-1 ... ag bg ag^-1 bg^-1."""
+    return tuple(
+        x for i in range(1, genus + 1) for x in (2 * i - 1, 2 * i, 1 - 2 * i, -2 * i)
+    )
+
+
+def reduce_word(letters) -> tuple:
+    """Free reduction: cancel each letter against an inverse before it."""
+    stack = []
+    for x in letters:
+        if stack and stack[-1] == -x:
+            stack.pop()
+        else:
+            stack.append(x)
+    return tuple(stack)
+
+
+def evaluate(rep, letters):
+    """The image of a word as a `reps.Moebius`, multiplying the images
+    left to right; an inverse letter is the inverse of its image."""
+    result = reps.Moebius.identity()
+    for x in letters:
+        image = rep.images[abs(x) - 1]
+        result = result * (image if x > 0 else image.inverse())
+    return result
+
+
+def translation_length(m) -> float:
+    """2 arccosh(|tr|/2) of a `reps.Moebius` when hyperbolic, else 0."""
+    (a, _), (_, d) = m.mat.tolist()
+    half = abs(a + d) / 2.0
+    return 2.0 * math.acosh(half) if half > 1.0 else 0.0
+
+
 def naive_reduced_words(genus, max_len):
     """All reduced words as letter tuples, by breadth-first growth."""
     letters = []
@@ -363,6 +398,36 @@ def orientation_sign_sum(rep) -> int:
     lower[-2] = np.sign(prefixes[-1][0, 0]) * np.sign(letters[-3][1, 0])
     mids = np.sign([m[1, 0] for m in letters])
     return int(sum(lower[k] * mids[k + 1] * lower[k + 1] for k in range(len(letters) - 2)))
+
+
+def _exact_letter(entries) -> tuple:
+    """Four floats as four ints that are the floats times one power of
+    two, which changes no sign of any product."""
+    ratios = [x.as_integer_ratio() for x in entries]
+    scale = max(q for _, q in ratios)
+    return tuple(p * (scale // q) for p, q in ratios)
+
+
+def exact_orientation_sign_sum(rep) -> int:
+    """`orientation_sign_sum` with the prefix products formed exactly:
+    each stored letter (an inverse is the adjugate) as dyadic ints, the
+    products in int arithmetic, and the same C_{4g-1} = sign(R_11) c(b_g)
+    substitution, so any correctly rounded walk must halve to the same
+    Euler class."""
+    def sign(x):
+        return (x > 0) - (x < 0)
+
+    letters, lower = [], []
+    acc = (1, 0, 0, 1)
+    for x in relator_word(rep.genus):
+        a, b, c, d = rep.images[abs(x) - 1].mat.ravel().tolist()
+        g = _exact_letter((a, b, c, d) if x > 0 else (d, -b, -c, a))
+        p, q, r, s = acc
+        acc = (p * g[0] + q * g[2], p * g[1] + q * g[3], r * g[0] + s * g[2], r * g[1] + s * g[3])
+        letters.append(sign(g[2]))
+        lower.append(sign(acc[2]))
+    lower[-2] = sign(acc[0]) * letters[-3]
+    return sum(lower[k] * letters[k + 1] * lower[k + 1] for k in range(len(letters) - 2))
 
 
 def _wrap(x: float) -> float:

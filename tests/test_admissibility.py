@@ -7,7 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _oracles import masked_reference_scan, naive_reduced_words, shortlex_key
+from _oracles import (
+    evaluate,
+    masked_reference_scan,
+    naive_reduced_words,
+    shortlex_key,
+    translation_length,
+)
 from conftest import make_pinched_rep
 from adsvol import admissibility, reps
 from adsvol.admissibility import (
@@ -20,7 +26,7 @@ from adsvol.admissibility import (
     report_json,
 )
 from adsvol.errors import InputError
-from adsvol.reps import Moebius, Representation, SurfaceGroup, Word, translation_length
+from adsvol.reps import Moebius, Representation, SurfaceGroup, Word
 
 
 # ----------------------------------------------------------- word counts
@@ -66,11 +72,10 @@ def test_bound_matches_naive_maximum(fuchsian_g2, rng):
     est = lipschitz_lower_bound(fuchsian_g2, sigma, max_len=3)
     best = 0.0
     for letters in naive_reduced_words(2, 3):
-        word = Word(letters)
-        denom = translation_length(reps.evaluate(fuchsian_g2, word))
+        denom = translation_length(evaluate(fuchsian_g2, letters))
         if denom <= admissibility.DENOMINATOR_FLOOR:
             continue
-        numer = translation_length(reps.evaluate(sigma, word))
+        numer = translation_length(evaluate(sigma, letters))
         best = max(best, numer / denom)
     assert math.isclose(est.lower_bound, best, rel_tol=0, abs_tol=1e-12)
 
@@ -101,7 +106,8 @@ def _reference_lengths(rep, genus, max_len):
     lengths = {}
     for letters in naive_reduced_words(genus, max_len):
         a, b, c, d = images[letters[:-1]]
-        ga, gb, gc, gd = (float(x) for x in rep.generator(letters[-1]).mat.flat)
+        image = rep.images[abs(letters[-1]) - 1]
+        ga, gb, gc, gd = (image if letters[-1] > 0 else image.inverse()).mat.ravel().tolist()
         product = (a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd)
         images[letters] = product
         half = abs(product[0] + product[3]) / 2.0
@@ -119,7 +125,7 @@ def _check_against_reference(rho, sigma, rho_lengths, sigma_lengths, max_len):
     assert est.words_scanned == len(words)
     assert math.isclose(est.lower_bound, max(ratios), rel_tol=0, abs_tol=1e-12)
     witness = Word(est.witness.letters)  # rejects an unreduced word
-    assert 1 <= len(witness) <= max_len
+    assert 1 <= len(witness.letters) <= max_len
     assert rho_lengths[witness.letters] > floor
     ratio = sigma_lengths[witness.letters] / rho_lengths[witness.letters]
     assert math.isclose(ratio, est.lower_bound, rel_tol=0, abs_tol=1e-12)
@@ -144,7 +150,7 @@ def test_scan_matches_plain_python_reference(genus, max_len, monkeypatch):
     floor = 1.5 * max(rho_lengths[(letter,)] for letter in letter_order(genus))
     monkeypatch.setattr(admissibility, "DENOMINATOR_FLOOR", floor)
     est = _check_against_reference(rho, conj, rho_lengths, conj_lengths, max_len)
-    assert len(est.witness) >= 2
+    assert len(est.witness.letters) >= 2
 
 
 def test_identity_and_trivial_ties_are_exact_at_depth_six(fuchsian_g2):
@@ -383,7 +389,7 @@ def test_denominator_floor_is_read_at_call_time(fuchsian_g2, monkeypatch):
     floor = 1.5 * translation_length(fuchsian_g2.images[0])
     monkeypatch.setattr(admissibility, "DENOMINATOR_FLOOR", floor)
     est = lipschitz_lower_bound(fuchsian_g2, fuchsian_g2, max_len=2)
-    assert est.lower_bound == 1.0 and len(est.witness) == 2
+    assert est.lower_bound == 1.0 and len(est.witness.letters) == 2
 
 
 def test_word_budget_cap(fuchsian_g2, monkeypatch):
