@@ -113,14 +113,9 @@ def _ratios(rho_tr, sigma_tr, mask) -> np.ndarray:
     """Per cell of two grids of traces, ell(sigma) / ell(rho) with
     ell = 2 arccosh(|tr| / 2), or 0 if not hyperbolic; -1 outside `mask`
     and where the rho-length does not clear DENOMINATOR_FLOOR."""
-    half = np.abs([rho_tr, sigma_tr]) / 2.0
-    lengths = np.zeros_like(half)
-    np.arccosh(half, out=lengths, where=half > 1.0)
-    lengths *= 2.0
-    rho_len, sigma_len = lengths
-    out = np.full_like(rho_len, -1.0)
-    scored = mask & (rho_len > DENOMINATOR_FLOOR)
-    return np.divide(sigma_len, rho_len, out=out, where=scored)
+    half = np.fmax(np.abs([rho_tr, sigma_tr]) / 2.0, 1.0)
+    rho_len, sigma_len = 2.0 * np.arccosh(half)
+    return np.where(mask & (rho_len > DENOMINATOR_FLOOR), sigma_len / rho_len, -1.0)
 
 
 def _extend(prods, table, entries) -> list:
@@ -137,8 +132,7 @@ def _extend(prods, table, entries) -> list:
 
 
 def _scan(rho_table, sigma_table, max_len, genus):
-    """Best (ratio, witness) over all reduced words of length 1..max_len,
-    plus the number of words scanned.
+    """Best (ratio, witness) over all reduced words of length 1..max_len.
 
     One step does the work.  Visiting a block of words, with their rho
     and sigma products as (m, 4) arrays, it forms their extensions by
@@ -159,22 +153,21 @@ def _scan(rho_table, sigma_table, max_len, genus):
     A product that leaves the float range is scored 0 or not at all,
     which still bounds from below, unless it makes a block's best ratio
     inf or nan (inf / inf): no bound can be read then, so the scan raises
-    InputError, and numpy's overflow warnings stay quiet."""
+    InputError, and numpy's float warnings stay quiet."""
     order = letter_order(genus)
     n = len(order)
     alphabet = np.arange(n, dtype=np.min_scalar_type(n))
     # letter j is followed by anything but its inverse j ^ 1
     keep = alphabet[None, :] != (alphabet ^ 1)[:, None]
     step = max(1, _BLOCK_ROWS // (n - 1))
-    best_ratio, best_witness, scanned = 0.0, None, 0
+    best_ratio, best_witness = 0.0, None
 
     def visit(rho_m, sigma_m, letters, mask):
-        nonlocal best_ratio, best_witness, scanned
+        nonlocal best_ratio, best_witness
         length = letters.shape[1] + 1
         entries = range(4) if length < max_len else (0, 3)
         rho_grid = _extend(rho_m, rho_table, entries)
         sigma_grid = _extend(sigma_m, sigma_table, entries)
-        scanned += int(np.count_nonzero(mask))
         ratio = _ratios(
             rho_grid[0] + rho_grid[-1], sigma_grid[0] + sigma_grid[-1], mask
         )
@@ -207,10 +200,10 @@ def _scan(rho_table, sigma_table, max_len, genus):
             visit(rho_m[part], sigma_m[part], letters[part], keep[letters[part, -1]])
 
     root = np.array([[1.0, 0.0, 0.0, 1.0]])
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         visit(root, root, np.empty((1, 0), alphabet.dtype), np.ones((1, n), bool))
     witness = Word(best_witness) if best_witness is not None else None
-    return best_ratio, witness, scanned
+    return best_ratio, witness
 
 
 def lipschitz_lower_bound(
@@ -232,13 +225,13 @@ def lipschitz_lower_bound(
     if max_len < 1:
         raise InputError("max_len must be an integer >= 1")
     check_word_budget(rho.genus, max_len)
-    ratio, witness, scanned = _scan(
+    ratio, witness = _scan(
         _flat_generators(rho), _flat_generators(sigma), max_len, rho.genus
     )
     return LipschitzEstimate(
         lower_bound=ratio,
         witness=witness,
-        words_scanned=scanned,
+        words_scanned=reduced_word_count(rho.genus, max_len),
         max_word_length=max_len,
     )
 

@@ -1,16 +1,15 @@
 """Constant-coefficient invariant forms on the 3-dimensional model space.
 
-A k-form stores one value per increasing index tuple over {1, 2, 3},
-the indices referring to the reference orthonormal frame (u1, u2, u3)
-of `liealg`.  Values are endomorphisms (3x3 matrices over Fraction,
-acting on the Lie algebra in the basis (H, E, F), stored as nested
-tuples of rows).  The one scalar form needed, the top-degree
-tr(A ^ [A ^ A]), is a single rational: `wedge_trace` returns its value
-on (u1, u2, u3), which fixes it, as it fixes every alternating 3-form.
-Evaluation at arbitrary Lie-algebra vectors extends multilinearly and
-antisymmetrically, so everything stays exact: the value at (x_1, ..., x_k)
-is the sum over the stored tuples I of the k x k minor of the frame
-coordinates of the x_s on the columns I, times the value on I.
+A form stores one value per increasing index tuple over {1, 2, 3}, the
+indices referring to the reference orthonormal frame (u1, u2, u3) of
+`liealg`.  Values are endomorphisms (3x3 matrices over Fraction, acting
+on the Lie algebra in the basis (H, E, F), stored as nested tuples of
+rows).  1-forms and 2-forms are read on the frame, where `value_at`
+extends the stored values by antisymmetry; a 1-form also evaluates at a
+vector, linearly in its frame coordinates, so everything stays exact.
+The one scalar form needed, the top-degree tr(A ^ [A ^ A]), is a single
+rational: `wedge_trace` returns its value on (u1, u2, u3), which fixes
+it, as it fixes every alternating 3-form.
 
 The canonical connection-difference form is A(x) = ad_x.  Its exterior
 derivative on invariant forms is dA(x, y) = -A([x, y]), and the
@@ -59,15 +58,6 @@ def _sort_sign(indices) -> tuple:
     return (-1) ** inversions, tuple(sorted(idx))
 
 
-# The Leibniz terms of a minor on the columns I: every ordering of I with
-# its sign, for each increasing index tuple I.
-_SIGNED_ORDERINGS = {
-    key: tuple((_sort_sign(perm)[0], perm) for perm in itertools.permutations(key))
-    for degree in range(4)
-    for key in _increasing_tuples(degree)
-}
-
-
 def _zero_matrix() -> tuple:
     return ((Fraction(0),) * 3,) * 3
 
@@ -101,15 +91,15 @@ def commutator(a, b) -> tuple:
 
 @dataclass(frozen=True)
 class EndValuedForm:
-    """Alternating k-form with endomorphism (3x3 Fraction matrix) values,
-    one value per increasing index tuple."""
+    """Alternating 1-form or 2-form with endomorphism (3x3 Fraction
+    matrix) values, one value per increasing index tuple."""
 
     degree: int
     values: dict
 
     def __post_init__(self):
-        if self.degree not in (0, 1, 2, 3):
-            raise InputError("degree must be 0..3")
+        if self.degree not in (1, 2):
+            raise InputError("degree must be 1 or 2")
         expected = _increasing_tuples(self.degree)
         if set(self.values) != set(expected):
             raise InputError(
@@ -130,23 +120,15 @@ class EndValuedForm:
         value = self.values[key]
         return value if sign == 1 else _scale(sign, value)
 
-    def evaluate(self, *vectors: LieElement) -> tuple:
-        """Multilinear evaluation at Lie-algebra vectors: the sum over the
-        stored tuples I of the I-minor of the frame coordinates times the
-        value on I."""
-        if len(vectors) != self.degree:
-            raise InputError(f"need {self.degree} vectors, got {len(vectors)}")
-        coords = [frame_coords(v) for v in vectors]
+    def evaluate(self, x: LieElement) -> tuple:
+        """A 1-form at the vector x: the sum over the frame indices i of
+        the i-th frame coordinate of x times the value on (i,)."""
+        if self.degree != 1:
+            raise InputError("evaluate is defined for 1-forms only")
         total = _zero_matrix()
-        for key, value in self.values.items():
-            minor = 0
-            for sign, perm in _SIGNED_ORDERINGS[key]:
-                term = sign
-                for c, i in zip(coords, perm):
-                    term *= c[i - 1]
-                minor += term
-            if minor != 0:
-                total = _add(total, _scale(minor, value))
+        for i, c in zip(_INDICES, frame_coords(x)):
+            if c != 0:
+                total = _add(total, _scale(c, self.values[(i,)]))
         return total
 
     def __add__(self, other):
@@ -234,34 +216,33 @@ def curvature_at(path: ConnectionPath) -> EndValuedForm:
 
 def wedge_trace(a: EndValuedForm, r: EndValuedForm) -> Fraction:
     """Value on the reference frame (u1, u2, u3) of the scalar 3-form
-    tr(a ^ r) with the full antisymmetrisation
+    tr(a ^ r), the (1/6)-weighted sum of sign(s) tr(a(u_s1) r(u_s2, u_s3))
+    over the permutations s of (1, 2, 3).  r alternates, so the six terms
+    fold into three:
 
-        (1/6) sum over permutations s of (1,2,3) of
-              sign(s) * tr( a(u_{s1}) r(u_{s2}, u_{s3}) ).
+        (tr(a_1 r_23) - tr(a_2 r_13) + tr(a_3 r_12)) / 3.
 
     A 3-form is this one number times the determinant of the frame
     coordinates of its arguments.
     """
     if a.degree != 1 or r.degree != 2:
         raise InputError("wedge_trace expects a 1-form and a 2-form")
-    total = Fraction(0)
-    for sign, perm in _SIGNED_ORDERINGS[_INDICES]:
-        total += sign * _trace_product(
-            a.value_at((perm[0],)), r.value_at((perm[1], perm[2]))
-        )
-    return total / 6
+    return (
+        _trace_product(a.values[(1,)], r.values[(2, 3)])
+        - _trace_product(a.values[(2,)], r.values[(1, 3)])
+        + _trace_product(a.values[(3,)], r.values[(1, 2)])
+    ) / 3
 
 
 def cs_density(a: EndValuedForm) -> Fraction:
     """Ratio of tr(a ^ [a ^ a]) to the volume form, read on the
     reference frame.
 
-    For the canonical form this is the frozen constant -4: each of the
-    six permutation terms contributes 2 * omega(u1, u2, u3) = -4, so the
-    (1/6)-weighted sum is -4 while the volume form is 1.  Both are
-    alternating 3-forms on a 3-dimensional space, so their ratio is the
-    same on every frame.  The volume form is read through the metric,
-    so a miscalibrated metric shows up here.
+    For the canonical form this is the frozen constant -4, as each of the
+    three terms of `wedge_trace` is 2 * omega(u1, u2, u3) = -4, while the
+    volume form is 1.  Both are alternating 3-forms on a 3-dimensional
+    space, so their ratio is the same on every frame.  The volume form is
+    read through the metric, so a miscalibrated metric shows up here.
     """
     return wedge_trace(a, bracket_wedge(a, a)) / volume_form(*REFERENCE_FRAME)
 

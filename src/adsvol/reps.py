@@ -287,8 +287,15 @@ def fuchsian_regular_polygon(genus: int) -> Representation:
     -(2g - 2)."""
     group = SurfaceGroup(genus)
     n = 4 * genus
-    circumradius = math.acosh(1.0 / math.tan(math.pi / n) ** 2)
-    r = math.tanh(circumradius / 2.0)
+    try:  # a huge n leaves the float range, or tan^2 underflows to 0
+        r = math.tanh(math.acosh(1.0 / math.tan(math.pi / n) ** 2) / 2.0)
+    except (OverflowError, ZeroDivisionError):
+        r = 1.0
+    if r >= 1.0:
+        raise InputError(
+            f"genus {genus} is too large for floats: the polygon's vertices "
+            "round onto the boundary of the disc"
+        )
 
     def pairing(v0: complex, v1: complex, v2: complex, v3: complex) -> np.ndarray:
         """The isometry carrying the oriented edge (v3, v2) to (v0, v1)."""
@@ -407,21 +414,20 @@ def representation_from_json(data: dict) -> Representation:
         ):
             raise InputError(f"generator {index} must be two lists of two numbers")
         try:
-            mat = np.array(entry, dtype=float)
+            (a, b), (c, d) = ([float(x) for x in row] for row in entry)
         except OverflowError as exc:
             raise InputError(
                 f"generator {index} has an entry out of float range"
             ) from exc
-        if not np.isfinite(mat).all():
+        if not all(map(math.isfinite, (a, b, c, d))):
             raise InputError(f"generator {index} is not a finite 2x2 matrix")
-        (a, b), (c, d) = mat.tolist()
         det = a * d - b * c
         if abs(det - 1.0) > DET_TOLERANCE:
             raise InputError(
                 f"generator {index} has determinant {det}, not 1 "
                 f"(tolerance {DET_TOLERANCE})"
             )
-        images.append(Moebius(mat))
+        images.append(Moebius([[a, b], [c, d]]))
     return Representation(SurfaceGroup(genus), tuple(images))
 
 

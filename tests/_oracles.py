@@ -85,8 +85,9 @@ def perm_sign(perm):
 def oracle_wedge_trace(one_form_vals, two_form_vals, triple):
     """(1/6) sum over S3 of sign * tr(a(v_s1) r(v_s2, v_s3)).
 
-    one_form_vals / two_form_vals are callables on lie elements; the
-    permutation bookkeeping is done here from scratch.
+    one_form_vals / two_form_vals are callables on the entries of
+    triple (frame indices, say); the permutation bookkeeping is done
+    here from scratch.
     """
     total = Fraction(0)
     for perm in permutations(range(3)):

@@ -106,6 +106,16 @@ def test_rep_relator_gate_refuses_genus_55(tmp_path, capsys):
     assert f"tolerance {reps.RELATOR_TOLERANCE}" in err
 
 
+def test_rep_genus_past_float_range_exits_two(tmp_path, capsys):
+    target = tmp_path / "huge.json"
+    code, out, err = run_cli(capsys, "rep", "--genus", "1000000000", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert not target.exists()
+    assert err.startswith("input error: genus 1000000000 is too large for floats")
+    assert "Traceback" not in err
+
+
 def test_rep_relator_gate_reads_tolerance_at_call_time(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(reps, "RELATOR_TOLERANCE", 0.0)
     target = tmp_path / "rep2.json"
