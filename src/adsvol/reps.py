@@ -37,6 +37,7 @@ Conventions
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -71,9 +72,15 @@ def _unit_distance(x, y) -> float:
 
 
 def _adjugate(m: np.ndarray) -> np.ndarray:
-    """[[d, -b], [-c, a]] for m = [[a, b], [c, d]]: the inverse of a
-    determinant-1 matrix, real or complex, with no rescaling."""
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+    """[[d, -b], [-c, a]] for m = [[a, b], [c, d]], or for each matrix of
+    a stack of them: the inverse of a determinant-1 matrix, real or
+    complex, with no rescaling."""
+    out = np.empty_like(m)
+    out[..., 0, 0] = m[..., 1, 1]
+    out[..., 0, 1] = -m[..., 0, 1]
+    out[..., 1, 0] = -m[..., 1, 0]
+    out[..., 1, 1] = m[..., 0, 0]
+    return out
 
 
 class Moebius:
@@ -236,39 +243,37 @@ def conjugate(rep: Representation, m: Moebius) -> Representation:
 # Fuchsian holonomy from the regular 4g-gon
 # ---------------------------------------------------------------------------
 
-def _su_translate(p: complex) -> np.ndarray:
-    """Disc isometry sending p to 0, as an SU(1, 1) matrix."""
+_CAYLEY_LEFT = np.array([[1j, 1j], [-1.0, 1.0]], dtype=complex)
+_CAYLEY_RIGHT = np.array([[1.0, -1j], [1.0, 1j]], dtype=complex)
+_CAYLEY_LEFT.flags.writeable = _CAYLEY_RIGHT.flags.writeable = False
+#: Generator pairs whose SU(1, 1) products are stacked at once: the build
+#: holds one block, so a genus refused at its first block is refused at once.
+_BLOCK_PAIRS = 64
+
+
+def _su_align(p, q) -> tuple:
+    """(rotation, translation), as nested tuples: the SU(1, 1) factors of
+    the disc isometry rotation * translation, which sends p to 0 and q
+    onto the positive real axis.  p and q are numpy complex scalars, so
+    the image of q is formed in numpy's scalar complex arithmetic."""
     s = 1.0 / math.sqrt(1.0 - abs(p) ** 2)
-    return np.array([[s, -s * p], [-s * p.conjugate(), s]], dtype=complex)
+    top, bottom = -s * p, -s * p.conjugate()
+    t = -np.angle((s * q + top) / (bottom * q + s))
+    rotation = ((cmath.exp(1j * t / 2), 0.0), (0.0, cmath.exp(-1j * t / 2)))
+    return rotation, ((s, top), (bottom, s))
 
 
-def _su_rotation(t: float) -> np.ndarray:
-    """Disc rotation z -> e^{it} z about 0."""
-    return np.array(
-        [[np.exp(1j * t / 2), 0.0], [0.0, np.exp(-1j * t / 2)]], dtype=complex
-    )
-
-
-def _su_apply(m: np.ndarray, z: complex) -> complex:
-    return (m[0, 0] * z + m[0, 1]) / (m[1, 0] * z + m[1, 1])
-
-
-def _su_align(p: complex, q: complex) -> np.ndarray:
-    """Disc isometry with p -> 0 and q on the positive real axis."""
-    t = _su_translate(p)
-    angle = np.angle(_su_apply(t, q))
-    return _su_rotation(-angle).dot(t)
-
-
-def _su_to_moebius(m: np.ndarray) -> Moebius:
-    """Conjugate an SU(1, 1) matrix back to SL(2, R) through the Cayley
-    map z -> (z - i)/(z + i); the result is real up to rounding noise."""
-    left = np.array([[1j, 1j], [-1.0, 1.0]], dtype=complex)
-    right = np.array([[1.0, -1j], [1.0, 1j]], dtype=complex)
-    out = left.dot(m).dot(right) / 2j
-    if np.abs(out.imag).max() > 1e-9:
-        raise InputError("matrix is not conjugate to a real one")
-    return Moebius(out.real)
+def _genus_text(genus: int) -> str:
+    """The genus in decimal or, past the length str() converts (see
+    sys.get_int_max_str_digits), its count of decimal digits."""
+    try:
+        return str(genus)
+    except ValueError:
+        # (bits - 1) log10(2) <= log10(genus): start below the count, count up
+        digits = int((genus.bit_length() - 1) * math.log10(2)) - 1
+        while genus >= 10**digits:
+            digits += 1
+        return f"of {digits} decimal digits"
 
 
 def fuchsian_regular_polygon(genus: int) -> Representation:
@@ -279,12 +284,19 @@ def fuchsian_regular_polygon(genus: int) -> Representation:
     circumradius arccosh(cot^2(pi/n)).  The boundary word
     a1 b1 a1^-1 b1^-1 ... pairs side j with side j+2 inside each block
     of four; the pairing isometry for pair {j, j+2} carries the oriented
-    edge (v_{j+3}, v_{j+2}) to (v_j, v_{j+1}).  Each a_i is the pairing
-    of pair {4i, 4i+2}, each b_i the inverse of the pairing of pair
+    edge (v_{j+3}, v_{j+2}) to (v_j, v_{j+1}), as the product of the
+    adjugate of the disc isometry aligning (v_j, v_{j+1}) with the one
+    aligning (v_{j+3}, v_{j+2}).  Each a_i is the pairing of pair
+    {4i, 4i+2}, each b_i the inverse of the pairing of pair
     {4i+1, 4i+3}; all of them are rotated copies (conjugates by the
     polygon's central rotation) of a single hyperbolic translation.  The
     relator then closes up to rounding error and the Euler class is
-    -(2g - 2)."""
+    -(2g - 2).
+
+    The SU(1, 1) matrices are multiplied as stacks of at most
+    _BLOCK_PAIRS generator pairs and conjugated to SL(2, R) through the
+    Cayley map z -> (z - i)/(z + i), whose result must be real up to
+    rounding noise."""
     group = SurfaceGroup(genus)
     n = 4 * genus
     try:  # a huge n leaves the float range, or tan^2 underflows to 0
@@ -293,21 +305,28 @@ def fuchsian_regular_polygon(genus: int) -> Representation:
         r = 1.0
     if r >= 1.0:
         raise InputError(
-            f"genus {genus} is too large for floats: the polygon's vertices "
-            "round onto the boundary of the disc"
+            f"genus {_genus_text(genus)} is too large for floats: the polygon's "
+            "vertices round onto the boundary of the disc"
         )
-
-    def pairing(v0: complex, v1: complex, v2: complex, v3: complex) -> np.ndarray:
-        """The isometry carrying the oriented edge (v3, v2) to (v0, v1)."""
-        return _adjugate(_su_align(v0, v1)).dot(_su_align(v3, v2))
-
     images = []
-    for i in range(genus):
-        # only this pair's vertices 4i .. 4i+4: no list of all 4g is held,
-        # so a genus refused at its first generator is refused at once
-        v = [r * np.exp(2j * math.pi * (j % n) / n) for j in range(4 * i, 4 * i + 5)]
-        images.append(_su_to_moebius(pairing(*v[:4])))
-        images.append(_su_to_moebius(_adjugate(pairing(*v[1:]))))
+    for start in range(0, genus, _BLOCK_PAIRS):
+        # only this block's vertices: no list of all 4g is held
+        stop = min(start + _BLOCK_PAIRS, genus)
+        v = [r * np.exp(2j * math.pi * (j % n) / n) for j in range(4 * start, 4 * stop + 1)]
+        factors = []
+        for j in range(0, len(v) - 1, 4):
+            factors += (
+                _su_align(v[j], v[j + 1]), _su_align(v[j + 3], v[j + 2]),
+                _su_align(v[j + 1], v[j + 2]), _su_align(v[j + 4], v[j + 3]),
+            )
+        rotations, translations = np.array(list(zip(*factors)), dtype=complex)
+        aligned = rotations @ translations
+        pairings = _adjugate(aligned[0::2]) @ aligned[1::2]
+        pairings[1::2] = _adjugate(pairings[1::2])
+        out = _CAYLEY_LEFT @ pairings @ _CAYLEY_RIGHT / 2j
+        if np.abs(out.imag).max() > 1e-9:
+            raise InputError("matrix is not conjugate to a real one")
+        images += map(Moebius, out.real)
     return Representation(group, tuple(images))
 
 

@@ -471,3 +471,66 @@ def numpy_scalar_euler_class(rep) -> tuple:
     nearest = round(ratio)
     residual = abs(ratio - nearest)
     return nearest, residual
+
+
+# The regular-polygon holonomy built one generator at a time, each
+# SU(1, 1) product an ndarray.dot on freshly built 2x2 arrays: the
+# bitwise reference for `reps.fuchsian_regular_polygon`, which stacks
+# the same products as np.matmul over blocks of generator pairs.
+
+def _su_translate(p: complex) -> np.ndarray:
+    """Disc isometry sending p to 0, as an SU(1, 1) matrix."""
+    s = 1.0 / math.sqrt(1.0 - abs(p) ** 2)
+    return np.array([[s, -s * p], [-s * p.conjugate(), s]], dtype=complex)
+
+
+def _su_rotation(t: float) -> np.ndarray:
+    """Disc rotation z -> e^{it} z about 0."""
+    return np.array(
+        [[np.exp(1j * t / 2), 0.0], [0.0, np.exp(-1j * t / 2)]], dtype=complex
+    )
+
+
+def _su_apply(m: np.ndarray, z: complex) -> complex:
+    return (m[0, 0] * z + m[0, 1]) / (m[1, 0] * z + m[1, 1])
+
+
+def _su_align(p: complex, q: complex) -> np.ndarray:
+    """Disc isometry with p -> 0 and q on the positive real axis."""
+    t = _su_translate(p)
+    angle = np.angle(_su_apply(t, q))
+    return _su_rotation(-angle).dot(t)
+
+
+def _su_adjugate(m: np.ndarray) -> np.ndarray:
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+
+
+def _su_to_moebius(m: np.ndarray) -> "reps.Moebius":
+    """Conjugate an SU(1, 1) matrix back to SL(2, R) through the Cayley
+    map z -> (z - i)/(z + i); the result is real up to rounding noise."""
+    left = np.array([[1j, 1j], [-1.0, 1.0]], dtype=complex)
+    right = np.array([[1.0, -1j], [1.0, 1j]], dtype=complex)
+    out = left.dot(m).dot(right) / 2j
+    if np.abs(out.imag).max() > 1e-9:
+        raise InputError("matrix is not conjugate to a real one")
+    return reps.Moebius(out.real)
+
+
+def su11_polygon_reference(genus) -> tuple:
+    """The images a1, b1, ..., ag, bg of the regular 4g-gon's side
+    pairings: a_i pairs sides {4i, 4i+2}, b_i is the inverse of the
+    pairing of sides {4i+1, 4i+3}, and the pairing of {j, j+2} carries
+    the oriented edge (v_{j+3}, v_{j+2}) to (v_j, v_{j+1})."""
+    n = 4 * genus
+    r = math.tanh(math.acosh(1.0 / math.tan(math.pi / n) ** 2) / 2.0)
+
+    def pairing(v0, v1, v2, v3):
+        return _su_adjugate(_su_align(v0, v1)).dot(_su_align(v3, v2))
+
+    images = []
+    for i in range(genus):
+        v = [r * np.exp(2j * math.pi * (j % n) / n) for j in range(4 * i, 4 * i + 5)]
+        images.append(_su_to_moebius(pairing(*v[:4])))
+        images.append(_su_to_moebius(_su_adjugate(pairing(*v[1:]))))
+    return tuple(images)

@@ -4,6 +4,7 @@ orientation signs."""
 import json
 import math
 import random
+import sys
 import tracemalloc
 import warnings
 
@@ -36,6 +37,7 @@ from _oracles import (
     numpy_scalar_relator_residual,
     orientation_sign_sum,
     reduce_word,
+    su11_polygon_reference,
     translation_length,
 )
 from conftest import (
@@ -230,6 +232,57 @@ def test_fuchsian_polygon_refuses_a_genus_past_float_range(genus):
     error naming the genus, never a bare Python exception."""
     with pytest.raises(InputError, match=rf"^genus {genus} is too large for floats"):
         fuchsian_regular_polygon(genus)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="str() converts ints of any length"
+)
+@pytest.mark.parametrize(
+    "genus, digits",
+    [(10**5000, 5001), (10**5000 - 1, 5000), (2**20000, 6021)],
+    ids=["1e5000", "1e5000-1", "2^20000"],
+)
+def test_fuchsian_polygon_names_a_genus_too_long_for_str_by_its_digits(genus, digits):
+    """Past sys.get_int_max_str_digits() str() raises ValueError, so the
+    input error names the genus by its count of decimal digits."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(
+            InputError, match=rf"^genus of {digits} decimal digits is too large for floats"
+        ):
+            fuchsian_regular_polygon(genus)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_fuchsian_polygon_traces_are_four_cos_squared():
+    """Every generator is a rotated copy of one translation, with
+    |tr| = 2 + 2 cos(pi/(2g)) = 4 cos^2(pi/(4g)), whatever the rounding
+    of the build: within a relative 1e-9 for every genus to 100 (the
+    build's own error reaches 9.2e-10 by g = 200)."""
+    for genus in range(2, 101):
+        expected = 4.0 * math.cos(math.pi / (4 * genus)) ** 2
+        for image in fuchsian_regular_polygon(genus).images:
+            assert abs(abs(np.trace(image.mat)) - expected) <= 1e-9 * expected, genus
+
+
+def test_fuchsian_polygon_matches_the_per_generator_build():
+    """The stacked np.matmul products round exactly as the per-generator
+    ndarray.dot build in tests/_oracles.py, for every genus to 70 and on
+    both sides of the first two block edges."""
+    block = reps._BLOCK_PAIRS
+    for genus in sorted({*range(2, 71), block, block + 1, 2 * block, 2 * block + 1}):
+        got = [m.mat.tobytes() for m in fuchsian_regular_polygon(genus).images]
+        assert got == [m.mat.tobytes() for m in su11_polygon_reference(genus)], genus
+
+
+def test_cayley_guard_first_fails_at_2276():
+    """The README's claim: genus 2275 builds and 2276 is the first genus
+    whose Cayley map leaves an imaginary part above 1e-9."""
+    assert fuchsian_regular_polygon(2275).genus == 2275
+    with pytest.raises(InputError, match="^matrix is not conjugate to a real one$"):
+        fuchsian_regular_polygon(2276)
 
 
 # ------------------------------------------------------ orientation signs
