@@ -15,10 +15,10 @@ in a Fuchsian component rather than being strictly dominated.
 
 A word is scored by its trace alone, so the scan is one step, taken
 from the empty word over bounded blocks walked depth-first: it forms a
-block's extensions by every letter as one (words x 4g) grid, scores the
-grid from the diagonal entries with the inverse-letter cells masked
-out, and only for words it will extend again multiplies out the rest
-and gathers the reduced ones, once per level.  Memory stays O(block
+block's extensions by every letter as one letter-major (4g x words)
+grid, scores the grid from the diagonal entries with the inverse-letter
+cells masked out, and only for words it will extend again multiplies
+out the rest and gathers the reduced ones, once per level.  Memory stays O(block
 size x cutoff), so the word cap bounds time only, and ties go to the
 shortlex-least word.
 """
@@ -112,65 +112,93 @@ def _flat_generators(rep: Representation) -> np.ndarray:
 def _ratios(rho_tr, sigma_tr, mask) -> np.ndarray:
     """Per cell of two grids of traces, ell(sigma) / ell(rho) with
     ell = 2 arccosh(|tr| / 2), or 0 if not hyperbolic; -1 outside `mask`
-    and where the rho-length does not clear DENOMINATOR_FLOOR."""
-    half = np.fmax(np.abs([rho_tr, sigma_tr]) / 2.0, 1.0)
-    rho_len, sigma_len = 2.0 * np.arccosh(half)
-    return np.where(mask & (rho_len > DENOMINATOR_FLOOR), sigma_len / rho_len, -1.0)
+    and where the rho-length does not clear DENOMINATOR_FLOOR.
+
+    Both lengths are scored in place in one (2, ...) buffer, halved:
+    (2a) / (2b) is a / b and 2a > floor is a > floor / 2, exactly.  The
+    result has the grids' shape but is the transpose of a C-ordered
+    array, so for letter-major (4g, m) grids its .T is the row-major
+    (m, 4g) table of (word, letter) cells."""
+    lengths = np.empty((2, *mask.shape))
+    np.abs(rho_tr, out=lengths[0])
+    np.abs(sigma_tr, out=lengths[1])
+    lengths *= 0.5
+    np.fmax(lengths, 1.0, out=lengths)
+    np.arccosh(lengths, out=lengths)
+    rho_len, sigma_len = lengths
+    scored = mask & (rho_len > DENOMINATOR_FLOOR / 2)
+    np.divide(sigma_len, rho_len, out=sigma_len)
+    np.putmask(sigma_len, ~scored, -1.0)
+    ratio = np.empty(mask.shape[::-1]).T
+    np.copyto(ratio, sigma_len)
+    return ratio
 
 
-def _extend(prods, table, entries) -> list:
-    """Row-major entries k = 2i + j of each product times each generator,
-    one (m, 4g) grid per k in `entries`, written out by hand as in a 2x2
-    product."""
-    grids = []
-    for k in entries:
+def _extend(prods, table) -> np.ndarray:
+    """(4, 4g, m) grid: entry k = 2i + j, row-major, of each of the m
+    products (stored entry-major as a (4, m) array) times each of the 4g
+    generators, written out by hand as in a 2x2 product."""
+    grid = np.empty((4, len(table), prods.shape[1]))
+    for k, e in enumerate(grid):
         i, j = divmod(k, 2)
-        e = prods[:, 2 * i, None] * table[:, j]
-        e += prods[:, 2 * i + 1, None] * table[:, 2 + j]
-        grids.append(e)
-    return grids
+        np.multiply(table[:, j, None], prods[2 * i], out=e)
+        e += table[:, 2 + j, None] * prods[2 * i + 1]
+    return grid
+
+
+def _traces(prods, table) -> np.ndarray:
+    """(4g, m) grid of the traces of the products `_extend` forms, with
+    its entries 0 and 3 added as it rounds them, but no other entry."""
+    tr = table[:, 0, None] * prods[0]
+    tr += table[:, 2, None] * prods[1]
+    tail = table[:, 1, None] * prods[2]
+    tail += table[:, 3, None] * prods[3]
+    tr += tail
+    return tr
 
 
 def _scan(rho_table, sigma_table, max_len, genus):
     """Best (ratio, witness) over all reduced words of length 1..max_len.
 
-    One step does the work.  Visiting a block of words, with their rho
-    and sigma products as (m, 4) arrays, it forms their extensions by
-    every letter on the full (m, 4g) grid and scores the grid; a cell
-    outside `mask` (the inverse of a word's last letter) reads -1, so
-    the row-major argmax is the first best reduced word, and cell i is
-    (row, letter) = divmod(i, 4g).  A ratio needs only traces, so the
-    step always computes the two diagonal entries of the extensions,
-    and the off-diagonal ones only when they will be extended again;
-    only then are the kept cells gathered, once per level.  The root
-    block is the empty word: the identity, with every letter allowed.
-    The extensions are cut into blocks of at most _BLOCK_ROWS // (4g - 1)
-    words, each visited to full depth before the next, so live memory is
+    One step does the work.  Visiting a block of m words, with their rho
+    and sigma products stored entry-major as (4, m) arrays, it forms
+    their extensions by every letter as letter-major (4g, m) grids, so
+    each numpy call runs over the block's words in one contiguous inner
+    loop, and scores them; a cell outside `mask` (the inverse of a
+    word's last letter) reads -1.  The scores are written out as the
+    row-major (m, 4g) table, so its argmax is the first best reduced
+    word, and cell i is (row, letter) = divmod(i, 4g).  A ratio needs
+    only traces, so on the last level the step forms the traces alone,
+    and above it all four entries, gathered by flat index in the same
+    shortlex order, once per level.  The root block is the empty word:
+    the identity, with every letter allowed.  The extensions are cut
+    into blocks of at most _BLOCK_ROWS // (4g - 1) words, each visited
+    to full depth before the next, so live memory is
     O(_BLOCK_ROWS * max_len).  Words of equal length are met in shortlex
     order, so a later maximum replaces the best only when it is larger,
     or equal and shorter.  Products accumulate left to right in plain
-    float arithmetic, so the blocking does not change a single rounding.
-    A product that leaves the float range is scored 0 or not at all,
-    which still bounds from below, unless it makes a block's best ratio
-    inf or nan (inf / inf): no bound can be read then, so the scan raises
-    InputError, and numpy's float warnings stay quiet."""
+    float arithmetic, so neither the blocking nor the layout changes a
+    single rounding.  A product that leaves the float range is scored 0
+    or not at all, which still bounds from below, unless it makes a
+    block's best ratio inf or nan (inf / inf): no bound can be read
+    then, so the scan raises InputError, and numpy's float warnings stay
+    quiet."""
     order = letter_order(genus)
     n = len(order)
     alphabet = np.arange(n, dtype=np.min_scalar_type(n))
-    # letter j is followed by anything but its inverse j ^ 1
-    keep = alphabet[None, :] != (alphabet ^ 1)[:, None]
     step = max(1, _BLOCK_ROWS // (n - 1))
     best_ratio, best_witness = 0.0, None
 
     def visit(rho_m, sigma_m, letters, mask):
         nonlocal best_ratio, best_witness
-        length = letters.shape[1] + 1
-        entries = range(4) if length < max_len else (0, 3)
-        rho_grid = _extend(rho_m, rho_table, entries)
-        sigma_grid = _extend(sigma_m, sigma_table, entries)
-        ratio = _ratios(
-            rho_grid[0] + rho_grid[-1], sigma_grid[0] + sigma_grid[-1], mask
-        )
+        m, length = letters.shape[0], letters.shape[1] + 1
+        if length < max_len:
+            rho_grid = _extend(rho_m, rho_table)
+            sigma_grid = _extend(sigma_m, sigma_table)
+            rho_tr, sigma_tr = rho_grid[0] + rho_grid[3], sigma_grid[0] + sigma_grid[3]
+        else:
+            rho_tr, sigma_tr = _traces(rho_m, rho_table), _traces(sigma_m, sigma_table)
+        ratio = _ratios(rho_tr, sigma_tr, mask).T
         i = int(np.argmax(ratio))
         r = float(ratio.flat[i])
         if not math.isfinite(r):
@@ -188,20 +216,22 @@ def _scan(rho_table, sigma_table, max_len, genus):
             best_witness = tuple(order[j] for j in (*letters[row], last))
         if length == max_len:
             return
-        rho_m = np.stack([e[mask] for e in rho_grid], axis=1)
-        sigma_m = np.stack([e[mask] for e in sigma_grid], axis=1)
-        del rho_grid, sigma_grid, ratio
-        letters = np.column_stack((
-            np.repeat(letters, np.count_nonzero(mask, axis=1), axis=0),
-            np.broadcast_to(alphabet, mask.shape)[mask],
-        ))
+        del rho_tr, sigma_tr, ratio
+        row, last = divmod(np.flatnonzero(mask.T), n)
+        cells = last * m + row
+        rho_m = np.take(rho_grid.reshape(4, -1), cells, axis=1)
+        sigma_m = np.take(sigma_grid.reshape(4, -1), cells, axis=1)
+        del rho_grid, sigma_grid
+        letters = np.column_stack((letters[row], last.astype(alphabet.dtype)))
         for lo in range(0, len(letters), step):
             part = slice(lo, lo + step)
-            visit(rho_m[part], sigma_m[part], letters[part], keep[letters[part, -1]])
+            # letter j is followed by anything but its inverse j ^ 1
+            allowed = alphabet[:, None] != (letters[part, -1] ^ 1)
+            visit(rho_m[:, part], sigma_m[:, part], letters[part], allowed)
 
-    root = np.array([[1.0, 0.0, 0.0, 1.0]])
+    root = np.array([[1.0], [0.0], [0.0], [1.0]])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        visit(root, root, np.empty((1, 0), alphabet.dtype), np.ones((1, n), bool))
+        visit(root, root, np.empty((1, 0), alphabet.dtype), np.ones((n, 1), bool))
     witness = Word(best_witness) if best_witness is not None else None
     return best_ratio, witness
 

@@ -206,7 +206,9 @@ class Representation:
         object.__setattr__(self, "images", images)
         if len(images) != self.group.rank:
             raise InputError(
-                f"genus {self.group.genus} needs {self.group.rank} generator images"
+                f"genus {_genus_text(self.group.genus)} has rank "
+                f"{_genus_text(self.group.rank)}: it needs one image per "
+                f"generator, got {len(images)}"
             )
         if not all(isinstance(m, Moebius) for m in images):
             raise InputError("generator images must be Moebius elements")

@@ -156,6 +156,22 @@ def test_representation_validates_image_count():
         Representation(SurfaceGroup(2), (Moebius.identity(),))
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="str() converts ints of any length"
+)
+def test_representation_names_a_genus_too_long_for_str_by_its_digits():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(
+            InputError,
+            match=r"^genus of 5001 decimal digits has rank of 5001 decimal digits: ",
+        ):
+            Representation(SurfaceGroup(10**5000), ())
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @pytest.mark.parametrize("letter", [True, 1.0, -1.0, 0])
 def test_every_letter_entry_point_rejects_a_non_letter(letter):
     with pytest.raises(InputError, match="nonzero integers"):
