@@ -131,18 +131,19 @@ def cs_scale(degree: int, v: Fraction) -> Fraction:
     """Pullback along a degree-d fibrewise covering multiplies the
     invariant by d."""
     _require_int("degree", degree)
-    return degree * v
+    return degree * as_fraction(v)
 
 
 def chasles(ab: Fraction, bc: Fraction) -> Fraction:
     """Additivity along concatenated connection paths."""
-    return ab + bc
+    return as_fraction(ab) + as_fraction(bc)
 
 
 def vol_from_cs(v: Fraction) -> Fraction:
     """Signed volume -24 * cs, as a coefficient of pi^2, recovered from
     the relative Chern-Simons invariant of the two factors."""
-    return -24 * v
+    v = as_fraction(v)
+    return Fraction(-24 * v.numerator, v.denominator)
 
 
 def geometry_calibration(e: int = -2) -> Fraction:

@@ -34,8 +34,10 @@ metric normalisations rescale it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import InputError
 
@@ -76,8 +78,8 @@ class LieElement:
     coords: tuple
 
     def __post_init__(self):
-        if len(self.coords) != 3:
-            raise InputError("LieElement needs exactly 3 coordinates")
+        if not isinstance(self.coords, (tuple, list)) or len(self.coords) != 3:
+            raise InputError("LieElement needs a tuple or list of 3 coordinates")
         object.__setattr__(
             self, "coords", tuple(as_fraction(c) for c in self.coords)
         )
@@ -129,49 +131,55 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
     Expanding [aH + bE + cF, a'H + b'E + c'F] with the structure
     constants gives (bc' - cb') H + 2(ab' - ba') E + 2(ca' - ac') F.
     """
-    a, b, c = x.coords
-    d, e, f = y.coords
-    return LieElement.of(b * f - c * e, 2 * (a * e - b * d), 2 * (c * d - a * f))
+    [[a, b, c], [d, e, f]], den = _numerators([x.coords, y.coords])
+    den *= den
+    return LieElement((
+        Fraction(b * f - c * e, den),
+        Fraction(2 * (a * e - b * d), den),
+        Fraction(2 * (c * d - a * f), den),
+    ))
 
 
 def adjoint(x: LieElement) -> tuple:
     """Matrix of ad_x = [x, .] in the basis (H, E, F), entries Fraction."""
     a, b, c = x.coords
+    a2, b2, c2 = [Fraction(2 * v.numerator, v.denominator) for v in x.coords]
     zero = Fraction(0)
     return (
         (zero, -c, b),
-        (-2 * b, 2 * a, zero),
-        (2 * c, zero, -2 * a),
+        (-b2, a2, zero),
+        (c2, zero, -a2),
     )
 
 
-def _dot(u, v) -> Fraction:
-    """Sum of the products u[k] v[k], skipping zero factors: an adjoint
-    matrix is a third zeros, and a Fraction product costs as much when a
-    factor is 0."""
-    total = Fraction(0)
-    for a, b in zip(u, v):
-        if a and b:
-            total += a * b
-    return total
+def _numerators(rows) -> tuple:
+    """Rows of rationals as rows of integer numerators over their least
+    common denominator: (integer rows, denominator).  Products and sums
+    then run on ints, and each result Fraction is built once."""
+    den = math.lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
 
 
 def _mat_mul(x, y) -> tuple:
     """Product of two square matrices given as tuples of rows."""
-    cols = tuple(zip(*y))
-    return tuple(tuple(_dot(row, col) for col in cols) for row in x)
+    (rows, p), (other, q) = _numerators(x), _numerators(y)
+    den, cols = p * q, tuple(zip(*other))
+    return tuple(
+        tuple(Fraction(sum(map(mul, row, col)), den) for col in cols) for row in rows
+    )
 
 
 def _trace_product(x, y) -> Fraction:
     """tr(xy) of two square matrices: the diagonal of the product, summed."""
-    return sum((_dot(row, col) for row, col in zip(x, zip(*y))), Fraction(0))
+    (rows, p), (other, q) = _numerators(x), _numerators(y)
+    diagonal = (sum(map(mul, row, col)) for row, col in zip(rows, zip(*other)))
+    return Fraction(sum(diagonal), p * q)
 
 
 def trace2(x: LieElement, y: LieElement) -> Fraction:
     """tr(XY) of the 2x2 matrix product, in coordinates: 2aa' + bc' + cb'."""
-    a, b, c = x.coords
-    d, e, f = y.coords
-    return 2 * a * d + b * f + c * e
+    [[a, b, c], [d, e, f]], den = _numerators([x.coords, y.coords])
+    return Fraction(2 * a * d + b * f + c * e, den * den)
 
 
 def killing(x: LieElement, y: LieElement) -> Fraction:

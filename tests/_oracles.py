@@ -14,7 +14,7 @@ import numpy as np
 
 from adsvol import reps
 from adsvol.errors import InputError, IntegralityError
-from adsvol.liealg import REFERENCE_FRAME, LieElement, _mat_mul
+from adsvol.liealg import REFERENCE_FRAME, LieElement
 from adsvol.reps import _adjugate, _unit_distance
 
 # The three basis matrices written out by hand; object dtype keeps
@@ -35,6 +35,35 @@ def as_rows(m):
     """An oracle matrix as nested tuples of Fraction, comparable with
     `==` to a library matrix entry by entry."""
     return tuple(tuple(Fraction(v) for v in row) for row in m)
+
+
+def _dot(u, v) -> Fraction:
+    """Sum of the products u[k] v[k], skipping zero factors."""
+    total = Fraction(0)
+    for a, b in zip(u, v):
+        if a and b:
+            total += a * b
+    return total
+
+
+def reference_mat_mul(x, y) -> tuple:
+    """Product of two square matrices of rationals given as tuples of
+    rows, one Fraction product and sum per term."""
+    cols = tuple(zip(*y))
+    return tuple(tuple(_dot(row, col) for col in cols) for row in x)
+
+
+def reference_trace_product(x, y) -> Fraction:
+    """tr(xy) of two square matrices: the diagonal of the product, summed."""
+    return sum((_dot(row, col) for row, col in zip(x, zip(*y))), Fraction(0))
+
+
+def reference_bracket(x: LieElement, y: LieElement) -> LieElement:
+    """Bracket from the structure constants in Fraction arithmetic:
+    (bc' - cb') H + 2(ab' - ba') E + 2(ca' - ac') F."""
+    a, b, c = x.coords
+    d, e, f = y.coords
+    return LieElement.of(b * f - c * e, 2 * (a * e - b * d), 2 * (c * d - a * f))
 
 
 def mat2(coords):
@@ -163,7 +192,7 @@ def random_rational_sl2(rng) -> tuple:
             shear = ((one, t), (zero, one))
         else:
             shear = ((one, zero), (t, one))
-        g = _mat_mul(g, shear)
+        g = reference_mat_mul(g, shear)
     return g
 
 
@@ -172,7 +201,7 @@ def adjoint_action(g, x: LieElement) -> LieElement:
     (a, b), (c, d) = g
     if a * d - b * c != 1:
         raise InputError("adjoint_action needs determinant exactly 1")
-    m = _mat_mul(_mat_mul(g, x.to_matrix()), ((d, -b), (-c, a)))
+    m = reference_mat_mul(reference_mat_mul(g, x.to_matrix()), ((d, -b), (-c, a)))
     return LieElement.of(m[0][0], m[0][1], m[1][0])
 
 

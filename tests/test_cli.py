@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import re
 import time
 import warnings
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from adsvol import admissibility, cli, forms, invariants, liealg, reps
+from adsvol import admissibility, cli, forms, invariants, liealg, reps, verify
 from adsvol.reps import save_representation
 from conftest import make_noncommuting_bad_rep, make_steep_conjugate_rep, make_steep_g6_rep
 
@@ -446,6 +447,58 @@ def test_verify_detects_cs_formula_faults(capsys, monkeypatch, name, fault, fail
     assert code == 1
     payload = parse_single_json(out)
     assert {c["name"] for c in payload["checks"] if not c["passed"]} == failing
+
+
+def _flip_h(true):
+    """[E, F] = -H: one structure constant with its sign flipped."""
+    def bracket(x, y):
+        a, b, c = true(x, y).coords
+        return liealg.LieElement.of(-a, b, c)
+    return bracket
+
+
+def _triple_e(true):
+    """[H, E] = 3E: one structure constant rescaled."""
+    def bracket(x, y):
+        a, b, c = true(x, y).coords
+        return liealg.LieElement.of(a, Fraction(3, 2) * b, c)
+    return bracket
+
+
+def _cubic(true):
+    """A term a*b*c*H, cubic in x: zero whenever x is a basis element."""
+    def bracket(x, y):
+        a, b, c = x.coords
+        return true(x, y) + (a * b * c) * liealg.H
+    return bracket
+
+
+def _jacobi(monkeypatch, fault=None, sample=None):
+    """check_jacobi with `fault` applied to the bracket and, if given,
+    `sample` random triples beside the basis triples."""
+    with monkeypatch.context() as patch:
+        if fault is not None:
+            patch.setattr(liealg, "bracket", fault(liealg.bracket))
+        if sample is not None:
+            patch.setattr(verify, "JACOBI_SAMPLE", sample)
+        return verify.check_jacobi(random.Random(verify.SEED))
+
+
+def test_jacobi_basis_triples_pass_a_clean_build(monkeypatch):
+    assert _jacobi(monkeypatch, sample=0)[0] is True
+
+
+@pytest.mark.parametrize("fault", [_flip_h, _triple_e], ids=["flip-h", "triple-e"])
+def test_jacobi_basis_triples_catch_a_bilinear_fault(monkeypatch, fault):
+    # the identities are multilinear, so no random triple is needed
+    assert _jacobi(monkeypatch, fault, sample=0)[0] is False
+
+
+def test_jacobi_sample_catches_a_fault_that_vanishes_on_the_basis(monkeypatch):
+    assert _jacobi(monkeypatch, _cubic, sample=0)[0] is True
+    passed, detail = _jacobi(monkeypatch, _cubic)
+    assert passed is False
+    assert detail.startswith("Jacobi identity fails on")
 
 
 # ------------------------------------------------------------- plumbing

@@ -181,6 +181,32 @@ def test_chasles_additivity(a, b, c, k):
     assert chasles(ab, -ab) == 0
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: vol_from_cs(0.5),
+        lambda: cs_scale(2, 0.5),
+        lambda: chasles(0.5, 1),
+        lambda: chasles(Fraction(1, 2), 1.0),
+        lambda: vol_from_cs(True),
+        lambda: cs_scale(2, "1/x"),
+        lambda: chasles("1/0", 0),
+    ],
+    ids=["vol-float", "scale-float", "chasles-float", "chasles-second-float",
+         "vol-bool", "scale-malformed", "chasles-zero-denominator"],
+)
+def test_rational_operations_refuse_inexact_values(call):
+    # "every invariant is a plain Fraction": a float must not come back
+    with pytest.raises(InputError):
+        call()
+
+
+def test_rational_operations_return_fractions():
+    values = (vol_from_cs(1), cs_scale(2, "1/4"), chasles("1/2", 1))
+    assert values == (-24, Fraction(1, 2), Fraction(3, 2))
+    assert all(type(v) is Fraction for v in values)
+
+
 # ------------------------------------------------------- calibration
 
 

@@ -27,6 +27,9 @@ from _oracles import (
     oracle_signature,
     random_ad_frame,
     random_rational_sl2,
+    reference_bracket,
+    reference_mat_mul,
+    reference_trace_product,
 )
 from adsvol.errors import InputError
 from adsvol.liealg import (
@@ -42,6 +45,8 @@ from adsvol.liealg import (
     U2,
     U3,
     LieElement,
+    _mat_mul,
+    _trace_product,
     adjoint,
     as_fraction,
     bracket,
@@ -149,6 +154,14 @@ def test_elements_reject_floats():
         LieElement.of(0.5, 0, 0)
 
 
+@pytest.mark.parametrize(
+    "coords", [5, None, Fraction(1), "abc", (1, 2), [1, 2, 3, 4], {1: 0, 2: 0, 3: 0}]
+)
+def test_elements_need_three_coordinates(coords):
+    with pytest.raises(InputError):
+        LieElement(coords)
+
+
 # --------------------------------------------------------------- bracket
 
 
@@ -188,6 +201,43 @@ def test_jacobi_identity(x, y, z):
         + bracket(z, bracket(x, y))
     )
     assert total.is_zero()
+
+
+# --------------------------------------------------------- exact kernels
+
+# Zero is drawn often: the reference kernels skip zero factors, and the
+# integer kernels must agree with them there too.
+entries = st.one_of(st.just(Fraction(0)), rationals)
+square_pairs = st.integers(2, 3).flatmap(
+    lambda n: st.tuples(*[st.tuples(*[st.tuples(*[entries] * n)] * n)] * 2)
+)
+ZERO2 = ((Fraction(0),) * 2,) * 2
+
+
+@given(square_pairs)
+@example((ZERO2, ZERO2))
+@example((((Fraction(-1, 2), Fraction(0)), (Fraction(3), Fraction(-5, 6))),
+          ((Fraction(0), Fraction(7, 4)), (Fraction(-2, 3), Fraction(0)))))
+def test_matrix_kernels_match_fraction_references(pair):
+    x, y = pair
+    product = _mat_mul(x, y)
+    assert product == reference_mat_mul(x, y)
+    assert all(type(v) is Fraction for row in product for v in row)
+    trace = _trace_product(x, y)
+    assert trace == reference_trace_product(x, y)
+    assert type(trace) is Fraction
+
+
+@given(elements, elements)
+@pin_edges()
+def test_bracket_and_trace_form_match_fraction_references(x, y):
+    result = bracket(x, y)
+    assert result == reference_bracket(x, y)
+    assert all(type(v) is Fraction for v in result.coords)
+    a, b, c = x.coords
+    d, e, f = y.coords
+    assert trace2(x, y) == 2 * a * d + b * f + c * e
+    assert type(trace2(x, y)) is Fraction
 
 
 # --------------------------------------------------------------- adjoint
