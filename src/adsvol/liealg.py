@@ -248,10 +248,13 @@ def rational_signature(sym) -> tuple:
     and 0 is a root of the multiplicity of the zero ones.  The c_k come
     from the Faddeev-LeVerrier recursion M_1 = I,
     M_k = sym M_(k-1) + c_(k-1) I, c_k = -tr(sym M_k) / k."""
-    m = tuple(tuple(as_fraction(v) for v in row) for row in sym)
-    n = len(m)
-    if any(len(row) != n for row in m) or m != tuple(zip(*m)):
+    try:
+        m = tuple(tuple(as_fraction(v) for v in row) for row in sym)
+    except TypeError:  # the value or one of its rows is not iterable
+        m = None
+    if m is None or any(len(row) != len(m) for row in m) or m != tuple(zip(*m)):
         raise InputError("rational_signature needs a square symmetric matrix")
+    n = len(m)
     coeffs, acc = [Fraction(1)], ((Fraction(0),) * n,) * n
     for k in range(1, n + 1):
         acc = tuple(

@@ -83,6 +83,39 @@ def _adjugate(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _normalised(entries) -> np.ndarray:
+    """The normalised representative (see Conventions) of the row-major
+    entries [a, b, c, d] of a 2x2 matrix, as a 2x2 array."""
+    if not all(map(math.isfinite, entries)):
+        raise InputError("Moebius needs a finite 2x2 real matrix")
+    a, b, c, d = entries
+    det = a * d - b * c
+    if not 2.0**-1022 <= abs(det) < math.inf:
+        # ad or bc left the normal float range (or ad - bc cancelled
+        # out of it): form them again from the entries scaled by 2^-k,
+        # k half the binary exponent of the larger product; a power of
+        # two changes no rounding and cancels in the division by sqrt(det)
+        k = max(
+            (math.frexp(x)[1] + math.frexp(y)[1] for x, y in ((a, d), (b, c)) if x and y),
+            default=0,
+        ) // 2
+        try:
+            a, b, c, d = (math.ldexp(x, -k) for x in entries)
+        except OverflowError:
+            raise InputError(_NORMALISED_OVERFLOW) from None
+        det = a * d - b * c
+    if not det > 0:
+        raise InputError("PSL(2, R) requires positive determinant")
+    scale = math.sqrt(det)
+    a, b, c, d = a / scale, b / scale, c / scale, d / scale
+    if not all(map(math.isfinite, (a, b, c, d))):
+        raise InputError(_NORMALISED_OVERFLOW)
+    tr = a + d
+    if tr < 0 or (tr == 0 and next(x for x in (a, b, c, d) if x != 0) < 0):
+        a, b, c, d = -a, -b, -c, -d
+    return np.array((a, b, c, d)).reshape(2, 2)
+
+
 class Moebius:
     """Element of PSL(2, R), stored as a normalised 2x2 float matrix."""
 
@@ -90,35 +123,9 @@ class Moebius:
 
     def __init__(self, mat):
         m = np.array(mat, dtype=float)
-        entries = m.ravel().tolist()
-        if m.shape != (2, 2) or not all(map(math.isfinite, entries)):
+        if m.shape != (2, 2):
             raise InputError("Moebius needs a finite 2x2 real matrix")
-        a, b, c, d = entries
-        det = a * d - b * c
-        if not 2.0**-1022 <= abs(det) < math.inf:
-            # ad or bc left the normal float range (or ad - bc cancelled
-            # out of it): form them again from the entries scaled by 2^-k,
-            # k half the binary exponent of the larger product; a power of
-            # two changes no rounding and cancels in the division by sqrt(det)
-            k = max(
-                (math.frexp(x)[1] + math.frexp(y)[1] for x, y in ((a, d), (b, c)) if x and y),
-                default=0,
-            ) // 2
-            try:
-                a, b, c, d = (math.ldexp(x, -k) for x in entries)
-            except OverflowError:
-                raise InputError(_NORMALISED_OVERFLOW) from None
-            det = a * d - b * c
-        if not det > 0:
-            raise InputError("PSL(2, R) requires positive determinant")
-        scale = math.sqrt(det)
-        a, b, c, d = a / scale, b / scale, c / scale, d / scale
-        if not all(map(math.isfinite, (a, b, c, d))):
-            raise InputError(_NORMALISED_OVERFLOW)
-        tr = a + d
-        if tr < 0 or (tr == 0 and next(x for x in (a, b, c, d) if x != 0) < 0):
-            a, b, c, d = -a, -b, -c, -d
-        self.mat = np.array([[a, b], [c, d]])
+        self.mat = _normalised(m.ravel().tolist())
 
     @classmethod
     def identity(cls) -> "Moebius":
@@ -225,15 +232,18 @@ def trivial_representation(genus: int) -> Representation:
 
 def relator_residual(rep: Representation) -> float:
     """Distance (mod sign) of the surface relator from the identity, its
-    images multiplied left to right as Moebius elements, so every inverse
-    and every product is normalised; reported, never rejected (`adsvol
-    rep` gates it against RELATOR_TOLERANCE, as euler_class gates its own
-    relator product)."""
-    acc = Moebius.identity()
+    images multiplied left to right through Moebius's normaliser, so every
+    inverse and every product is normalised; reported, never rejected
+    (`adsvol rep` gates it against RELATOR_TOLERANCE, as euler_class gates
+    its own relator product)."""
+    acc = _IDENTITY
     for letter in _relator_letters(rep.genus):
-        image = rep.images[abs(letter) - 1]
-        acc = acc * (image if letter > 0 else image.inverse())
-    return acc.dist_mod_sign(Moebius.identity())
+        m = rep.images[abs(letter) - 1].mat
+        if letter < 0:
+            (a, b), (c, d) = m.tolist()
+            m = _normalised([d, -b, -c, a])
+        acc = _normalised(acc.dot(m).ravel().tolist())
+    return _unit_distance(acc.ravel().tolist(), (1.0, 0.0, 0.0, 1.0))
 
 
 def conjugate(rep: Representation, m: Moebius) -> Representation:

@@ -422,6 +422,12 @@ def test_rational_signature_rejects_non_symmetric_input():
         rational_signature(((1, 2), (3, 1)))
 
 
+@pytest.mark.parametrize("sym", [5, None, [None], [5, 6], [[1], 2]])
+def test_rational_signature_rejects_a_value_that_is_not_rows(sym):
+    with pytest.raises(InputError, match="square symmetric matrix"):
+        rational_signature(sym)
+
+
 @given(elements)
 @pin_edges()
 def test_frame_and_metric_coords_agree(x):

@@ -206,6 +206,17 @@ def test_relator_residual_detects_perturbation(fuchsian_g2):
     assert relator_residual(broken) > 1e-3
 
 
+def test_relator_residual_refuses_a_product_that_overflows():
+    """diag(1e200, 1e-200) has determinant 1, but the relator's second
+    prefix product has an entry past float range: the walk refuses it as
+    a matrix that is not finite."""
+    stretch = Moebius([[1e200, 0.0], [0.0, 1e-200]])
+    rep = Representation(SurfaceGroup(2), (stretch,) * 4)
+    with np.errstate(over="ignore"):
+        with pytest.raises(InputError, match=r"^Moebius needs a finite 2x2 real matrix$"):
+            relator_residual(rep)
+
+
 # ----------------------------------------------------- fuchsian builder
 
 
@@ -529,31 +540,49 @@ def _euler_outcome(euler, rep):
         return str(exc)
 
 
-def test_float_entries_match_the_numpy_scalar_reference(monkeypatch):
-    """Every normalisation made while building the cases and every
-    relator residual agrees bit for bit with the numpy-scalar forms in
-    tests/_oracles.py.  Every Euler class equals the angle walk's, or
-    both gates refuse with the same message; its sign sum is even, and
-    its residual is bitwise the one formed from the oracle's relator
-    product and within 1e-13 of the angle walk's."""
-    big = Moebius([[1e200, 0.0], [0.0, 1e200]])  # the reference overflows here
+def _reference_cases(big):
+    """A g=2 rep with every generator `big`, the polygons g = 2..60,
+    seeded inputs at g = 2 and 3, the half-turn reps and the two steep
+    conjugates.  The caller builds `big`, so that a test recording
+    normalisations can build it before it starts recording."""
     cases = [Representation(SurfaceGroup(2), (big,) * 4)]
-    normalised = []
-    init = Moebius.__init__
-
-    def recording_init(self, mat):
-        init(self, mat)
-        normalised.append((np.array(mat, dtype=float), self.mat))
-
-    monkeypatch.setattr(Moebius, "__init__", recording_init)
     rng = random.Random(20)
     cases += [fuchsian_regular_polygon(g) for g in range(2, 61)]
     for genus in (2, 3):
         cases += _seeded_reps(genus, rng)
     cases += _half_turn_reps()
     cases += [make_steep_conjugate_rep(), make_steep_g6_rep()]
-    for rep in cases:
+    return cases
+
+
+def test_float_entries_match_the_numpy_scalar_reference(monkeypatch):
+    """Every normalisation made while building the cases and every
+    relator residual agrees bit for bit with the numpy-scalar forms in
+    tests/_oracles.py.  Normalisations are recorded at reps._normalised,
+    which Moebius and relator_residual's walk both call."""
+    big = Moebius([[1e200, 0.0], [0.0, 1e200]])  # the reference overflows here
+    normalised = []
+    normalise = reps._normalised
+
+    def recording_normalise(entries):
+        out = normalise(entries)
+        normalised.append((list(entries), out))
+        return out
+
+    monkeypatch.setattr(reps, "_normalised", recording_normalise)
+    for rep in _reference_cases(big):
         assert relator_residual(rep).hex() == numpy_scalar_relator_residual(rep).hex()
+    assert len(normalised) > 10000
+    for entries, out in normalised:
+        assert out.tobytes() == numpy_scalar_moebius(np.reshape(entries, (2, 2))).tobytes()
+
+
+def test_euler_class_matches_the_angle_walk_and_the_exact_sign_sum():
+    """On the cases above, every Euler class equals the angle walk's, or
+    both gates refuse with the same message; its sign sum is even, and
+    its residual is bitwise the one formed from the oracle's relator
+    product and within 1e-13 of the angle walk's."""
+    for rep in _reference_cases(Moebius([[1e200, 0.0], [0.0, 1e200]])):
         got = _euler_outcome(euler_class, rep)
         walked = _euler_outcome(numpy_scalar_euler_class, rep)
         if isinstance(walked, str):
@@ -566,9 +595,6 @@ def test_float_entries_match_the_numpy_scalar_reference(monkeypatch):
         assert e == -exact_orientation_sign_sum(rep) // 2
         assert residual.hex() == _sign_sum_residual(e, rep).hex()
         assert abs(residual - walked_residual) <= 1e-13
-    assert len(normalised) > 10000
-    for mat, out in normalised:
-        assert out.tobytes() == numpy_scalar_moebius(mat).tobytes()
 
 
 # ------------------------------------------------------------- JSON I/O
