@@ -2,8 +2,7 @@
 
 Every coefficient in this module is a `fractions.Fraction`; no floating
 point enters any computation.  Matrices (the 2x2 matrix of an element,
-3x3 adjoint and Gram matrices) are nested tuples of rows.  The basis
-matrices are
+the 3x3 adjoint) are nested tuples of rows.  The basis matrices are
 
     H = [[1, 0], [0, -1]],   E = [[0, 1], [0, 0]],   F = [[0, 0], [1, 0]],
 
@@ -228,42 +227,3 @@ def volume_form(x: LieElement, y: LieElement, z: LieElement) -> Fraction:
     coordinates in the reference frame, which is positively oriented."""
     return det3([metric_coords(v) for v in (x, y, z)])
 
-
-def gram_matrix() -> tuple:
-    """Metric Gram matrix on the ordered basis (H, E, F)."""
-    return tuple(tuple(metric(a, b) for b in BASIS) for a in BASIS)
-
-
-def _sign_changes(coeffs) -> int:
-    """Sign changes along a sequence of nonzero numbers."""
-    return sum((a > 0) != (b > 0) for a, b in zip(coeffs, coeffs[1:]))
-
-
-def rational_signature(sym) -> tuple:
-    """Signature (positives, negatives, zeros) of a symmetric matrix of
-    Fractions, by Descartes' rule of signs on its characteristic
-    polynomial p(x) = x^n + c_1 x^(n-1) + ... + c_n.  The rule is exact
-    because a symmetric matrix has only real eigenvalues: p(x) and p(-x)
-    have as many sign changes as there are positive and negative ones,
-    and 0 is a root of the multiplicity of the zero ones.  The c_k come
-    from the Faddeev-LeVerrier recursion M_1 = I,
-    M_k = sym M_(k-1) + c_(k-1) I, c_k = -tr(sym M_k) / k."""
-    try:
-        m = tuple(tuple(as_fraction(v) for v in row) for row in sym)
-    except TypeError:  # the value or one of its rows is not iterable
-        m = None
-    if m is None or any(len(row) != len(m) for row in m) or m != tuple(zip(*m)):
-        raise InputError("rational_signature needs a square symmetric matrix")
-    n = len(m)
-    coeffs, acc = [Fraction(1)], ((Fraction(0),) * n,) * n
-    for k in range(1, n + 1):
-        acc = tuple(
-            tuple(v + coeffs[-1] if i == j else v for j, v in enumerate(row))
-            for i, row in enumerate(_mat_mul(m, acc))
-        )
-        coeffs.append(-_trace_product(m, acc) / k)
-    # (power of x, coefficient) of the nonzero terms of p, highest first
-    terms = [(n - k, c) for k, c in enumerate(coeffs) if c]
-    positives = _sign_changes([c for _, c in terms])
-    negatives = _sign_changes([-c if power % 2 else c for power, c in terms])
-    return positives, negatives, terms[-1][0]

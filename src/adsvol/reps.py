@@ -233,16 +233,21 @@ def trivial_representation(genus: int) -> Representation:
 def relator_residual(rep: Representation) -> float:
     """Distance (mod sign) of the surface relator from the identity, its
     images multiplied left to right through Moebius's normaliser, so every
-    inverse and every product is normalised; reported, never rejected
-    (`adsvol rep` gates it against RELATOR_TOLERANCE, as euler_class gates
-    its own relator product)."""
+    inverse and every product is normalised.  A large distance is reported,
+    not rejected (`adsvol rep` gates it against RELATOR_TOLERANCE, as
+    euler_class gates its own relator product).  A product that cannot be
+    normalised raises Moebius's InputError: one that is not finite, or
+    whose ad - bc cancels to zero or below."""
     acc = _IDENTITY
-    for letter in _relator_letters(rep.genus):
-        m = rep.images[abs(letter) - 1].mat
-        if letter < 0:
-            (a, b), (c, d) = m.tolist()
-            m = _normalised([d, -b, -c, a])
-        acc = _normalised(acc.dot(m).ravel().tolist())
+    # a product that overflows to inf or nan is refused by the normaliser,
+    # so numpy's warnings about it would only repeat the refusal
+    with np.errstate(over="ignore", invalid="ignore"):
+        for letter in _relator_letters(rep.genus):
+            m = rep.images[abs(letter) - 1].mat
+            if letter < 0:
+                (a, b), (c, d) = m.tolist()
+                m = _normalised([d, -b, -c, a])
+            acc = _normalised(acc.dot(m).ravel().tolist())
     return _unit_distance(acc.ravel().tolist(), (1.0, 0.0, 0.0, 1.0))
 
 

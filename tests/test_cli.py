@@ -399,15 +399,26 @@ def test_verify_passes_on_clean_build(capsys):
     assert err.count("PASS") == len(payload["checks"])
 
 
-def test_verify_detects_metric_normalization_fault(capsys, monkeypatch):
-    monkeypatch.setattr(liealg, "METRIC_NORMALIZATION", Fraction(1))
+@pytest.mark.parametrize(
+    "normalization, failing",
+    [
+        # a rescaled metric keeps its signature: only calibration sees it
+        pytest.param(1, {"calibration"}, id="rescaled"),
+        # a negated one has signature (+, -, -): jacobi's Sylvester check too
+        pytest.param(-2, {"jacobi", "calibration"}, id="negated"),
+    ],
+)
+def test_verify_detects_metric_normalization_fault(
+    capsys, monkeypatch, normalization, failing
+):
+    monkeypatch.setattr(liealg, "METRIC_NORMALIZATION", Fraction(normalization))
     code, out, err = run_cli(capsys, "verify")
     assert code == 1
     payload = parse_single_json(out)
     assert payload["all_passed"] is False
-    failing = {c["name"] for c in payload["checks"] if not c["passed"]}
-    assert failing == {"calibration"}
-    assert "FAIL calibration" in err
+    assert {c["name"] for c in payload["checks"] if not c["passed"]} == failing
+    for name in failing:
+        assert f"FAIL {name}" in err
 
 
 def test_verify_detects_curvature_sign_fault(capsys, monkeypatch):

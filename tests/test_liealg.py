@@ -5,12 +5,11 @@ matrices, so these tests do not trust the module's own adjoint tables.
 """
 
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from _oracles import (
@@ -24,7 +23,6 @@ from _oracles import (
     oracle_bracket,
     oracle_killing,
     oracle_omega,
-    oracle_signature,
     random_ad_frame,
     random_rational_sl2,
     reference_bracket,
@@ -50,13 +48,12 @@ from adsvol.liealg import (
     adjoint,
     as_fraction,
     bracket,
+    det3,
     frame_coords,
-    gram_matrix,
     killing,
     metric,
     metric_coords,
     omega,
-    rational_signature,
     trace2,
     volume_form,
 )
@@ -260,7 +257,7 @@ def test_adjoint_matches_oracle(x):
 def test_exact_values_are_nested_fraction_tuples(x):
     # the exact layers hold no floats and no arrays: every matrix is a
     # tuple of row tuples of Fractions
-    for m in (adjoint(x), x.to_matrix(), gram_matrix()):
+    for m in (adjoint(x), x.to_matrix()):
         assert type(m) is tuple
         assert all(type(row) is tuple for row in m)
         assert all(type(v) is Fraction for row in m for v in row)
@@ -335,7 +332,7 @@ def test_metric_gram_matrices():
         (Fraction(0), Fraction(0), Fraction(2)),
         (Fraction(0), Fraction(2), Fraction(0)),
     )
-    assert gram_matrix() == expected
+    assert tuple(tuple(metric(a, b) for b in BASIS) for a in BASIS) == expected
     # on the reference frame it is diag(+1, +1, -1)
     frame_gram = [[metric(u, v) for v in REFERENCE_FRAME] for u in REFERENCE_FRAME]
     assert frame_gram == [
@@ -364,68 +361,12 @@ def test_metric_normalization_matches_geodesic_speed():
 
 
 def test_signature_is_two_one():
-    assert rational_signature(gram_matrix()) == (2, 1, 0)
-
-
-def test_rational_signature_handles_degenerate_and_offdiag():
-    assert rational_signature(
-        (
-            (Fraction(0), Fraction(1), Fraction(0)),
-            (Fraction(1), Fraction(0), Fraction(0)),
-            (Fraction(0), Fraction(0), Fraction(0)),
-        )
-    ) == (1, 1, 1)
-    zero = ((Fraction(0),) * 3,) * 3
-    assert rational_signature(zero) == (0, 0, 3)
-
-
-def random_symmetric(rng, n, kind):
-    """A random symmetric n x n Fraction matrix: `general`, `sparse`
-    (most entries 0), `zero_diagonal`, or `low_rank` (sum of r < n signed
-    rank-one squares), the last three reaching the congruence oracle's
-    pivot-swap and mate branches."""
-
-    def entry():
-        if kind == "sparse" and rng.random() < 0.6:
-            return Fraction(0)
-        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-
-    if kind == "low_rank":
-        rows = [[entry() for _ in range(n)] for _ in range(rng.randint(0, n - 1))]
-        weights = [entry() for _ in rows]
-        return tuple(
-            tuple(sum((w * r[i] * r[j] for w, r in zip(weights, rows)), Fraction(0))
-                  for j in range(n))
-            for i in range(n)
-        )
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            m[i][j] = m[j][i] = entry()
-        if kind == "zero_diagonal":
-            m[i][i] = Fraction(0)
-    return tuple(map(tuple, m))
-
-
-@pytest.mark.parametrize("kind", ["general", "sparse", "zero_diagonal", "low_rank"])
-def test_rational_signature_matches_congruence_oracle(rng, kind):
-    for n in range(1, 6):
-        for _ in range(25):
-            m = random_symmetric(rng, n, kind)
-            assert rational_signature(m) == oracle_signature(m)
-
-
-def test_rational_signature_rejects_non_symmetric_input():
-    with pytest.raises(InputError):
-        rational_signature(((1, 0, 0), (0, 1, 0)))
-    with pytest.raises(InputError):
-        rational_signature(((1, 2), (3, 1)))
-
-
-@pytest.mark.parametrize("sym", [5, None, [None], [5, 6], [[1], 2]])
-def test_rational_signature_rejects_a_value_that_is_not_rows(sym):
-    with pytest.raises(InputError, match="square symmetric matrix"):
-        rational_signature(sym)
+    # Sylvester's law of inertia on the reference frame: it is a basis
+    # and diagonalises the metric, so its signs are the signature
+    assert det3([u.coords for u in REFERENCE_FRAME]) != 0
+    gram = [[metric(u, v) for v in REFERENCE_FRAME] for u in REFERENCE_FRAME]
+    assert all(gram[i][j] == 0 for i in range(3) for j in range(3) if i != j)
+    assert [(d > 0) - (d < 0) for d in (gram[i][i] for i in range(3))] == [1, 1, -1]
 
 
 @given(elements)

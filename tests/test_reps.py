@@ -212,9 +212,8 @@ def test_relator_residual_refuses_a_product_that_overflows():
     a matrix that is not finite."""
     stretch = Moebius([[1e200, 0.0], [0.0, 1e-200]])
     rep = Representation(SurfaceGroup(2), (stretch,) * 4)
-    with np.errstate(over="ignore"):
-        with pytest.raises(InputError, match=r"^Moebius needs a finite 2x2 real matrix$"):
-            relator_residual(rep)
+    with pytest.raises(InputError, match=r"^Moebius needs a finite 2x2 real matrix$"):
+        relator_residual(rep)
 
 
 # ----------------------------------------------------- fuchsian builder
