@@ -13,10 +13,11 @@ stderr.  Exit codes are a stable contract:
        close within reps.RELATOR_TOLERANCE (the gate of `reps.euler_class`,
        which `rep`, `euler` and `lipschitz` call)
 
-Each handler only computes: it returns its stdout payload, its stderr
-summary and its exit code, and `main` alone writes them.  Each handler
-imports the layer it needs when it runs, so `volume` and `cs` never load
-the numpy-backed `reps` and `admissibility`.
+Each handler only computes: it returns its stdout payload (None for
+none), its stderr summary and its exit code, and `main` alone writes
+them.  A verification failure is such a return, not an exception.  Each
+handler imports the layer it needs when it runs, so `volume` and `cs`
+never load the numpy-backed `reps` and `admissibility`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import json
 import sys
 
 from . import DEFAULT_MAX_WORD_LENGTH
-from .errors import InputError, IntegralityError, VerificationError
+from .errors import InputError, IntegralityError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -80,10 +81,12 @@ def run_rep(args) -> tuple:
     rep = reps.fuchsian_regular_polygon(args.genus)
     residual = reps.relator_residual(rep)
     if not residual <= reps.RELATOR_TOLERANCE:
-        raise VerificationError(
-            f"genus {args.genus} generators do not close: relator residual "
-            f"{residual:.3e} exceeds tolerance {reps.RELATOR_TOLERANCE}"
+        summary = (
+            f"verification failure: genus {args.genus} generators do not close: "
+            f"relator residual {residual:.3e} exceeds tolerance "
+            f"{reps.RELATOR_TOLERANCE}"
         )
+        return None, summary, EXIT_VERIFY_FAILED
     euler, euler_residual = reps.euler_class(rep)
     reps.save_representation(rep, args.out)
     payload = {
@@ -165,8 +168,6 @@ def main(argv=None) -> int:
     payload = None
     try:
         payload, summary, code = HANDLERS[args.command](args)
-    except VerificationError as exc:
-        summary, code = f"verification failure: {exc}", EXIT_VERIFY_FAILED
     except InputError as exc:
         summary, code = f"input error: {exc}", EXIT_INPUT
     except IntegralityError as exc:

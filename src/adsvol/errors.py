@@ -1,7 +1,8 @@
 """Exception types shared across the package, and its integer check.
 
-The CLI maps these onto its exit-code contract: verification failure
--> 1, bad input -> 2, I/O trouble -> 3, no readable Euler class -> 4.
+The CLI maps these onto its exit-code contract: bad input -> 2, I/O
+trouble -> 3, no readable Euler class -> 4.  A verification failure
+(exit 1) is no exception: the handler that finds it returns that code.
 """
 
 
@@ -19,12 +20,6 @@ class IntegralityError(RuntimeError):
     """The relator of a representation does not close within
     reps.RELATOR_TOLERANCE, so it is not +-I up to noise and no Euler
     class can be read off its orientation signs."""
-
-
-class VerificationError(RuntimeError):
-    """A computed result fails the gate that certifies it: a `verify`
-    check, or generators built by `adsvol rep` whose relator residual
-    exceeds reps.RELATOR_TOLERANCE."""
 
 
 class ConventionWarning(UserWarning):

@@ -4,9 +4,9 @@ A form stores one value per increasing index tuple over {1, 2, 3}, the
 indices referring to the reference orthonormal frame (u1, u2, u3) of
 `liealg`.  Values are endomorphisms (3x3 matrices over Fraction, acting
 on the Lie algebra in the basis (H, E, F), stored as nested tuples of
-rows).  1-forms and 2-forms are read on the frame, where `value_at`
-extends the stored values by antisymmetry; a 1-form also evaluates at a
-vector, linearly in its frame coordinates, so everything stays exact.
+rows).  1-forms and 2-forms are read on the frame, at their stored
+increasing index tuples; a 1-form also evaluates at a vector, linearly
+in its frame coordinates, so everything stays exact.
 The one scalar form needed, the top-degree tr(A ^ [A ^ A]), is a single
 rational: `wedge_trace` returns its value on (u1, u2, u3), which fixes
 it, as it fixes every alternating 3-form.
@@ -47,15 +47,6 @@ _INDICES = (1, 2, 3)
 
 def _increasing_tuples(degree: int) -> tuple:
     return tuple(itertools.combinations(_INDICES, degree))
-
-
-def _sort_sign(indices) -> tuple:
-    """(sign, sorted tuple) of an index tuple; sign 0 on repeats."""
-    idx = tuple(indices)
-    if len(set(idx)) != len(idx):
-        return 0, idx
-    inversions = sum(a > b for a, b in itertools.combinations(idx, 2))
-    return (-1) ** inversions, tuple(sorted(idx))
 
 
 def _zero_matrix() -> tuple:
@@ -110,16 +101,6 @@ class EndValuedForm:
             self, "values", {k: _as_matrix(v) for k, v in self.values.items()}
         )
 
-    def value_at(self, indices) -> tuple:
-        """Value on any tuple of `degree` frame indices, by antisymmetry."""
-        sign, key = _sort_sign(indices)
-        if len(key) != self.degree or not set(key) <= set(_INDICES):
-            raise InputError(f"need {self.degree} frame indices in 1..3, got {key}")
-        if sign == 0:
-            return _zero_matrix()
-        value = self.values[key]
-        return value if sign == 1 else _scale(sign, value)
-
     def evaluate(self, x: LieElement) -> tuple:
         """A 1-form at the vector x: the sum over the frame indices i of
         the i-th frame coordinate of x times the value on (i,)."""
@@ -147,11 +128,6 @@ class EndValuedForm:
         return EndValuedForm(
             self.degree, {k: _scale(s, v) for k, v in self.values.items()}
         )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EndValuedForm) or self.degree != other.degree:
-            return NotImplemented
-        return self.values == other.values
 
     def is_zero(self) -> bool:
         zero = _zero_matrix()

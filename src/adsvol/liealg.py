@@ -1,8 +1,8 @@
 """Exact model of the Lie algebra sl(2, R) in the ordered basis (H, E, F).
 
 Every coefficient in this module is a `fractions.Fraction`; no floating
-point enters any computation.  Matrices (the 2x2 matrix of an element,
-the 3x3 adjoint) are nested tuples of rows.  The basis matrices are
+point enters any computation.  Matrices (the 3x3 adjoint) are nested
+tuples of rows.  The basis matrices are
 
     H = [[1, 0], [0, -1]],   E = [[0, 1], [0, 0]],   F = [[0, 0], [1, 0]],
 
@@ -87,10 +87,6 @@ class LieElement:
     def of(cls, a, b, c) -> "LieElement":
         return cls((a, b, c))
 
-    @classmethod
-    def zero(cls) -> "LieElement":
-        return cls((0, 0, 0))
-
     def __add__(self, other: "LieElement") -> "LieElement":
         return LieElement(tuple(x + y for x, y in zip(self.coords, other.coords)))
 
@@ -106,11 +102,6 @@ class LieElement:
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.coords)
-
-    def to_matrix(self) -> tuple:
-        """The trace-free 2x2 matrix ((a, b), (c, -a)) over Fraction."""
-        a, b, c = self.coords
-        return ((a, b), (c, -a))
 
 
 H = LieElement.of(1, 0, 0)

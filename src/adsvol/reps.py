@@ -138,7 +138,10 @@ class Moebius:
                     [math.sin(alpha), math.cos(alpha)]])
 
     def __mul__(self, other: "Moebius") -> "Moebius":
-        return Moebius(self.mat.dot(other.mat))
+        # a product that overflows is refused by the normaliser, so
+        # numpy's warnings about it would only repeat the refusal
+        with np.errstate(over="ignore", invalid="ignore"):
+            return Moebius(self.mat.dot(other.mat))
 
     def inverse(self) -> "Moebius":
         (a, b), (c, d) = self.mat.tolist()
@@ -440,7 +443,9 @@ def representation_from_json(data: dict) -> Representation:
         raise InputError("'genus' must be an integer >= 2")
     generators = data.get("generators")
     if not isinstance(generators, list) or len(generators) != 2 * genus:
-        raise InputError(f"'generators' must list {2 * genus} matrices")
+        raise InputError(
+            f"'generators' must list {_genus_text(2 * genus)} matrices"
+        )
     images = []
     for index, entry in enumerate(generators):
         if not (
@@ -477,8 +482,10 @@ def load_representation(path) -> Representation:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise InputError(f"invalid JSON in {path}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers json.JSONDecodeError and an integer literal
+            # past str()'s digit limit (sys.get_int_max_str_digits)
+            raise InputError(f"invalid JSON in {path}: {exc}") from exc
     return representation_from_json(data)

@@ -94,7 +94,9 @@ def check_maurer_cartan(_rng) -> tuple:
 def check_curvature_path(_rng) -> tuple:
     """R(t) = t dA + (t^2/2)[A^A] and ((t^2-t)/2)[A^A] are quadratics in
     t, so agreeing at the 11 points t = 0, 1/10, ..., 1 proves them equal
-    for every t; it would for any two polynomials of degree at most 10."""
+    for every t; it would for any two polynomials of degree at most 10.
+    The points include both endpoints, where ((t^2-t)/2)[A^A] is the
+    zero form, so the same loop proves the path flat there."""
     a = forms.canonical_maurer_cartan()
     square = forms.bracket_wedge(a, a)
     for numerator in range(0, 11):
@@ -103,9 +105,6 @@ def check_curvature_path(_rng) -> tuple:
         expected = ((t * t - t) / 2) * square
         if not (actual - expected).is_zero():
             return False, f"curvature at t = {t} deviates from ((t^2-t)/2)[A^A]"
-    for endpoint in (Fraction(0), Fraction(1)):
-        if not forms.curvature_at(forms.ConnectionPath(endpoint)).is_zero():
-            return False, f"path endpoint t = {endpoint} is not flat"
     return True, "R(t) = ((t^2-t)/2)[A^A] at 11 points, flat endpoints"
 
 
@@ -124,9 +123,7 @@ def check_vol_cs(rng) -> tuple:
 
 def check_unit_tangent(_rng) -> tuple:
     for e in range(-50, -1):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", category=Warning)
-            d = invariants.AdSDescriptor(e, 0, e)
+        d = invariants.AdSDescriptor(e, 0, e)
         if invariants.unit_tangent_volume(e) != invariants.volume(d):
             return False, f"unit tangent volume mismatch at e = {e}"
         if invariants.cs_rho_id(e, e) != Fraction(-e, 6):

@@ -162,7 +162,8 @@ def adjoint_action(g, x: LieElement) -> LieElement:
     (a, b), (c, d) = g
     if a * d - b * c != 1:
         raise InputError("adjoint_action needs determinant exactly 1")
-    m = reference_mat_mul(reference_mat_mul(g, x.to_matrix()), ((d, -b), (-c, a)))
+    x_rows = as_rows(mat2(x.coords))
+    m = reference_mat_mul(reference_mat_mul(g, x_rows), ((d, -b), (-c, a)))
     return LieElement.of(m[0][0], m[0][1], m[1][0])
 
 

@@ -86,7 +86,7 @@ def test_criterion_4_flatness_and_curvature_path():
         residual = forms.maurer_cartan_residual(a)
         assert residual.is_zero()
         for pair in ((1, 2), (1, 3), (2, 3)):
-            assert residual.value_at(pair) == forms._zero_matrix()
+            assert residual.values[pair] == forms._zero_matrix()
         wedge = forms.bracket_wedge(a, a)
         for numer in range(11):
             t = Fraction(numer, 10)

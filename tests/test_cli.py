@@ -166,6 +166,12 @@ def _rep_bytes(bad_generator):
         (_rep_bytes([[10**400, 0], [0, 1]]), "generator 2"),
         (b'{"genus": 2, "generators": "\xff\xfe"}', "UTF-8"),
         (b"[" * 100_000 + b"]" * 100_000, "invalid JSON"),
+        # integers past str()'s 4,300-digit limit: one json.load cannot
+        # parse, and a genus whose doubled count str() cannot format
+        (b'{"genus": 2, "generators": [[[' + b"1" * 5000 + b", 0], [0, 1]]]}",
+         "invalid JSON"),
+        (b'{"genus": ' + b"9" * 4300 + b', "generators": []}',
+         "must list of 4301 decimal digits matrices"),
     ],
     ids=[
         "ragged",
@@ -175,6 +181,8 @@ def _rep_bytes(bad_generator):
         "huge-int",
         "not-utf8",
         "deep-nesting",
+        "literal-past-digit-limit",
+        "genus-past-digit-limit",
     ],
 )
 def test_euler_malformed_file_exits_two(tmp_path, capsys, content, detail):
@@ -433,6 +441,26 @@ def test_verify_detects_curvature_sign_fault(capsys, monkeypatch):
     payload = parse_single_json(out)
     failing = {c["name"] for c in payload["checks"] if not c["passed"]}
     assert failing == {"curvature-path"}
+
+
+def test_verify_detects_a_curvature_fault_only_at_the_endpoints(capsys, monkeypatch):
+    # t = 0 and t = 1 are among the 11 points of curvature-path, so its
+    # one loop also decides that the path is flat at both endpoints
+    true_curvature = forms.curvature_at
+    a = forms.canonical_maurer_cartan()
+
+    def bent(path):
+        if path.t in (0, 1):
+            return true_curvature(path) + forms.bracket_wedge(a, a)
+        return true_curvature(path)
+
+    monkeypatch.setattr(forms, "curvature_at", bent)
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 1
+    payload = parse_single_json(out)
+    failed = [c for c in payload["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["curvature-path"]
+    assert failed[0]["detail"] == "curvature at t = 0 deviates from ((t^2-t)/2)[A^A]"
 
 
 @pytest.mark.parametrize(

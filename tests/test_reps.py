@@ -216,6 +216,18 @@ def test_relator_residual_refuses_a_product_that_overflows():
         relator_residual(rep)
 
 
+def test_product_that_overflows_is_refused_without_a_warning(fuchsian_g2):
+    """The square of diag(1e200, 1e-200), and its conjugation of the
+    polygon, have an entry past float range: the product raises
+    InputError, and numpy's overflow RuntimeWarning (an error under the
+    suite's filter) never escapes before it."""
+    stretch = Moebius([[1e200, 0.0], [0.0, 1e-200]])
+    with pytest.raises(InputError, match=r"^Moebius needs a finite 2x2 real matrix$"):
+        stretch * stretch
+    with pytest.raises(InputError, match=r"^Moebius needs a finite 2x2 real matrix$"):
+        reps.conjugate(fuchsian_g2, stretch)
+
+
 # ----------------------------------------------------- fuchsian builder
 
 
