@@ -33,7 +33,7 @@ import numpy as np
 
 from . import DEFAULT_MAX_WORD_LENGTH
 from .errors import InputError, _require_int
-from .reps import Representation, Word, _adjugate, euler_class
+from .reps import Representation, Word, euler_class, letter_order
 
 MAX_WORDS_ENV = "ADSVOL_MAX_WORDS"
 DEFAULT_MAX_WORDS = 10**7
@@ -64,14 +64,6 @@ def max_words_cap() -> int:
     return cap
 
 
-def letter_order(genus: int) -> list:
-    """Fixed enumeration order 1, -1, 2, -2, ..., 2g, -2g."""
-    order = []
-    for i in range(1, 2 * genus + 1):
-        order += [i, -i]
-    return order
-
-
 def reduced_word_count(genus: int, max_len: int) -> int:
     """Number of reduced words of length 1..max_len: per length L the
     count is 4g (4g - 1)^(L-1)."""
@@ -98,15 +90,6 @@ class LipschitzEstimate:
     witness: Word | None
     words_scanned: int
     max_word_length: int
-
-
-def _flat_generators(rep: Representation) -> np.ndarray:
-    """(4g, 4) float array: row j holds the row-major entries (a, b, c, d)
-    of letter_order(g)[j], inverses included."""
-    rows = []
-    for image in rep.images:
-        rows += [image.mat.ravel(), _adjugate(image.mat).ravel()]
-    return np.array(rows, dtype=float)
 
 
 def _ratios(rho_tr, sigma_tr, mask) -> np.ndarray:
@@ -255,9 +238,8 @@ def lipschitz_lower_bound(
     if max_len < 1:
         raise InputError("max_len must be an integer >= 1")
     check_word_budget(rho.genus, max_len)
-    ratio, witness = _scan(
-        _flat_generators(rho), _flat_generators(sigma), max_len, rho.genus
-    )
+    tables = (rep.letter_table.reshape(-1, 4) for rep in (rho, sigma))
+    ratio, witness = _scan(*tables, max_len, rho.genus)
     return LipschitzEstimate(
         lower_bound=ratio,
         witness=witness,

@@ -55,16 +55,11 @@ OMEGA_VOLUME_RATIO = Fraction(-2)
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings; refuse floats and bools."""
+    """Coerce ints and Fractions; refuse anything else, bools included."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"malformed rational string {value!r}: {exc}") from exc
     raise InputError(
         f"expected an exact rational, got {type(value).__name__}: {value!r}"
     )

@@ -40,13 +40,15 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError, IntegralityError
 
+#: A loaded generator needs |ad - bc - 1| <= DET_TOLERANCE + 4 eps (|ad| + |bc|).
 DET_TOLERANCE = 1e-6
+_EPS = math.ulp(1.0)
 #: Largest distance of the relator from the identity at which euler_class
 #: reads a class and `adsvol rep` writes its generators; the library's
 #: relator_residual only reports.
@@ -110,6 +112,11 @@ def _normalised(entries) -> np.ndarray:
     a, b, c, d = a / scale, b / scale, c / scale, d / scale
     if not all(map(math.isfinite, (a, b, c, d))):
         raise InputError(_NORMALISED_OVERFLOW)
+    return _signed(a, b, c, d)
+
+
+def _signed(a, b, c, d) -> np.ndarray:
+    """[[a, b], [c, d]], not all zero, with the sign rule of Conventions."""
     tr = a + d
     if tr < 0 or (tr == 0 and next(x for x in (a, b, c, d) if x != 0) < 0):
         a, b, c, d = -a, -b, -c, -d
@@ -144,8 +151,7 @@ class Moebius:
             return Moebius(self.mat.dot(other.mat))
 
     def inverse(self) -> "Moebius":
-        (a, b), (c, d) = self.mat.tolist()
-        return Moebius([[d, -b], [-c, a]])
+        return Moebius(_adjugate(self.mat))
 
     def dist_mod_sign(self, other: "Moebius") -> float:
         """Frobenius distance in PSL(2, R), i.e. up to scale and sign.
@@ -180,13 +186,16 @@ class Word:
                 raise InputError(f"word {letters} is not reduced")
 
 
-def _relator_letters(genus: int) -> list:
-    """The letters of prod_i a_i b_i a_i^-1 b_i^-1, unchecked."""
-    letters = []
-    for i in range(1, genus + 1):
-        a, b = 2 * i - 1, 2 * i
-        letters += [a, b, -a, -b]
-    return letters
+def letter_order(genus: int) -> list:
+    """Fixed enumeration order 1, -1, 2, -2, ..., 2g, -2g: the rows of
+    Representation.letter_table."""
+    return [x for i in range(1, 2 * genus + 1) for x in (i, -i)]
+
+
+def _relator_rows(genus: int) -> list:
+    """The letter_table rows of prod_i a_i b_i a_i^-1 b_i^-1, unchecked:
+    a_i, b_i, a_i^-1, b_i^-1 are rows 4i, 4i+2, 4i+1, 4i+3."""
+    return [i + j for i in range(0, 4 * genus, 4) for j in (0, 2, 1, 3)]
 
 
 @dataclass(frozen=True)
@@ -206,10 +215,13 @@ class SurfaceGroup:
 
 @dataclass(frozen=True)
 class Representation:
-    """Images (a1, b1, ..., ag, bg) of the standard generators."""
+    """Images (a1, b1, ..., ag, bg) of the standard generators, and
+    letter_table: a read-only (4g, 2, 2) float array in letter_order(g),
+    whose row 2i is images[i].mat and row 2i+1 its adjugate."""
 
     group: SurfaceGroup
     images: tuple
+    letter_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         images = tuple(self.images)
@@ -222,6 +234,11 @@ class Representation:
             )
         if not all(isinstance(m, Moebius) for m in images):
             raise InputError("generator images must be Moebius elements")
+        table = np.empty((2 * len(images), 2, 2))
+        table[0::2] = np.array([m.mat for m in images])
+        table[1::2] = _adjugate(table[0::2])
+        table.flags.writeable = False
+        object.__setattr__(self, "letter_table", table)
 
     @property
     def genus(self) -> int:
@@ -245,11 +262,10 @@ def relator_residual(rep: Representation) -> float:
     # a product that overflows to inf or nan is refused by the normaliser,
     # so numpy's warnings about it would only repeat the refusal
     with np.errstate(over="ignore", invalid="ignore"):
-        for letter in _relator_letters(rep.genus):
-            m = rep.images[abs(letter) - 1].mat
-            if letter < 0:
-                (a, b), (c, d) = m.tolist()
-                m = _normalised([d, -b, -c, a])
+        for row in _relator_rows(rep.genus):
+            m = rep.letter_table[row]
+            if row & 1:
+                m = _normalised(m.ravel().tolist())
             acc = _normalised(acc.dot(m).ravel().tolist())
     return _unit_distance(acc.ravel().tolist(), (1.0, 0.0, 0.0, 1.0))
 
@@ -391,11 +407,8 @@ def euler_class(rep: Representation) -> tuple:
     # a product that overflows to inf or nan fails the gate below, so
     # numpy's warnings about it would only repeat the refusal
     with np.errstate(over="ignore", invalid="ignore"):
-        for letter in _relator_letters(rep.genus):
-            g = rep.images[abs(letter) - 1].mat
-            if letter < 0:
-                (a, b), (c, d) = g.tolist()
-                g = np.array([[d, -b], [-c, a]])
+        for row in _relator_rows(rep.genus):
+            g = rep.letter_table[row]
             acc = acc.dot(g)
             lower, c = acc.item(2), g.item(2)
             signs.append(((lower > 0) - (lower < 0), (c > 0) - (c < 0)))
@@ -462,13 +475,21 @@ def representation_from_json(data: dict) -> Representation:
             ) from exc
         if not all(map(math.isfinite, (a, b, c, d))):
             raise InputError(f"generator {index} is not a finite 2x2 matrix")
-        det = a * d - b * c
-        if abs(det - 1.0) > DET_TOLERANCE:
+        # the float ad - bc is off by up to about eps (|ad| + |bc|): past
+        # DET_TOLERANCE, a generator is kept as written, not divided by noise
+        ad, bc = a * d, b * c
+        det, scale = ad - bc, abs(ad) + abs(bc)
+        if not (math.isfinite(scale) and abs(det - 1.0) <= DET_TOLERANCE + 4 * _EPS * scale):
             raise InputError(
                 f"generator {index} has determinant {det}, not 1 "
                 f"(tolerance {DET_TOLERANCE})"
             )
-        images.append(Moebius([[a, b], [c, d]]))
+        if abs(det - 1.0) <= DET_TOLERANCE:
+            image = Moebius([[a, b], [c, d]])
+        else:
+            image = object.__new__(Moebius)
+            image.mat = _signed(a, b, c, d)
+        images.append(image)
     return Representation(SurfaceGroup(genus), tuple(images))
 
 

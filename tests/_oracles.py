@@ -263,9 +263,9 @@ def masked_reference_scan(rho_table, sigma_table, max_len, genus, block_rows, fl
     bitwise reference for `admissibility._scan`: (best ratio, witness
     letters or None, words scanned).
 
-    The tables are `admissibility._flat_generators` output.  Each level
-    forms every (row, letter) entry of the extensions, gathers the kept
-    pairs with the boolean mask once per entry and scores only the
+    The tables are `Representation.letter_table.reshape(-1, 4)`.  Each
+    level forms every (row, letter) entry of the extensions, gathers the
+    kept pairs with the boolean mask once per entry and scores only the
     gathered words.  The arithmetic per entry and the np.arccosh calls
     are those of the library, so the two agree bit for bit on every CPU."""
     order = []

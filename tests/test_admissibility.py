@@ -355,8 +355,8 @@ def test_grid_scan_matches_the_masked_reference(
     rho, sigma = _golden_pair(genus, target)
     est = lipschitz_lower_bound(rho, sigma, max_len=max_len)
     ratio, witness, scanned = masked_reference_scan(
-        admissibility._flat_generators(rho),
-        admissibility._flat_generators(sigma),
+        rho.letter_table.reshape(-1, 4),
+        sigma.letter_table.reshape(-1, 4),
         max_len,
         genus,
         block_rows,
@@ -447,6 +447,13 @@ def test_word_budget_cap(fuchsian_g2, monkeypatch):
     monkeypatch.setenv(admissibility.MAX_WORDS_ENV, "not-a-number")
     with pytest.raises(InputError):
         lipschitz_lower_bound(fuchsian_g2, fuchsian_g2, max_len=2)
+
+
+@pytest.mark.parametrize("raw", ["0", "-3"])
+def test_word_budget_cap_must_be_positive(raw, fuchsian_g2, monkeypatch):
+    monkeypatch.setenv(admissibility.MAX_WORDS_ENV, raw)
+    with pytest.raises(InputError, match=f"^ADSVOL_MAX_WORDS must be positive, got {raw}$"):
+        lipschitz_lower_bound(fuchsian_g2, fuchsian_g2, max_len=1)
 
 
 @pytest.mark.parametrize("genus, max_len", [(2, 5089), (3, 4130), (10, 2703), (2, 10**9)])

@@ -202,7 +202,7 @@ def test_rational_operations_refuse_inexact_values(call):
 
 
 def test_rational_operations_return_fractions():
-    values = (vol_from_cs(1), cs_scale(2, "1/4"), chasles("1/2", 1))
+    values = (vol_from_cs(1), cs_scale(2, Fraction(1, 4)), chasles(Fraction(1, 2), 1))
     assert values == (-24, Fraction(1, 2), Fraction(3, 2))
     assert all(type(v) is Fraction for v in values)
 

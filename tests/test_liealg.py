@@ -99,10 +99,10 @@ scalars = st.integers(1, 6).flatmap(
 
 def test_as_fraction_accepts_exact_types_only():
     assert as_fraction(3) == 3
-    assert as_fraction("3/4") == Fraction(3, 4)
     assert as_fraction(Fraction(-1, 2)) == Fraction(-1, 2)
-    with pytest.raises(InputError):
-        as_fraction(0.5)
+    for value in (0.5, "3/4"):
+        with pytest.raises(InputError, match="^expected an exact rational"):
+            as_fraction(value)
 
 
 @pytest.mark.parametrize("flag", [True, False])
@@ -124,13 +124,12 @@ def test_as_fraction_refuses_bool(flag):
     ids=["not-a-number", "zero-denominator", "blank", "as-fraction"],
 )
 def test_malformed_rational_string_is_input_error(build):
-    with pytest.raises(InputError) as excinfo:
+    with pytest.raises(InputError, match="^expected an exact rational, got str: "):
         build()
-    assert isinstance(excinfo.value.__cause__, (ValueError, ZeroDivisionError))
 
 
 def test_element_arithmetic():
-    x = LieElement.of(1, "1/2", -3)
+    x = LieElement.of(1, Fraction(1, 2), -3)
     y = LieElement.of(0, 2, 1)
     assert (x + y).coords == (Fraction(1), Fraction(5, 2), Fraction(-2))
     assert (x - x).is_zero()

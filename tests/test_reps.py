@@ -648,3 +648,90 @@ def test_json_reader_rejections(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(InputError):
         load_representation(bad)
+
+
+@pytest.mark.parametrize(
+    "entry, shown",
+    [
+        ([[1.000002, 0.0], [0.0, 1.0]], "1.000002"),  # just past DET_TOLERANCE
+        ([[1e200, 1e200], [1e200, 1e200]], "nan"),  # ad - bc is inf - inf
+        ([[1e200, 0.0], [0.0, 1e200]], "inf"),
+    ],
+    ids=["past-tolerance", "nan", "overflow"],
+)
+def test_json_reader_refuses_a_determinant_off_one(entry, shown):
+    data = {"genus": 2, "generators": [entry] + [[[1.0, 0.0], [0.0, 1.0]]] * 3}
+    with pytest.raises(InputError, match=f"^generator 0 has determinant {shown}, not 1 "):
+        representation_from_json(data)
+
+
+def test_steep_conjugates_read_back_after_save(tmp_path):
+    """Conjugates of the polygon by R(t) [[s, u], [0, 1/s]] hold entries
+    near s^2, so a stored generator's float ad - bc can read 1 + 1e-4 at
+    s = 10^3, or 0 or 3 at s = 10^4.  The loader checks the determinant
+    against that rounding, and keeps such a generator as written."""
+    rng = random.Random(7)
+    polygon = fuchsian_regular_polygon(2)
+    path = tmp_path / "steep.json"
+    for s in (1e3, 1e4):
+        built = 0
+        for _ in range(40):
+            t, u = rng.uniform(0.0, math.pi), rng.uniform(-1.0, 1.0)
+            try:
+                rep = conjugate(polygon, Moebius.rotation(t) * Moebius([[s, u], [0.0, 1.0 / s]]))
+            except InputError:  # conjugate's own renormalised products cancel
+                continue
+            built += 1
+            save_representation(rep, path)
+            loaded = load_representation(path)
+            for original, restored in zip(rep.images, loaded.images):
+                (a, b), (c, d) = original.mat.tolist()
+                if abs(a * d - b * c - 1.0) > reps.DET_TOLERANCE:
+                    assert restored.mat.tobytes() == original.mat.tobytes()
+                assert original.dist_mod_sign(restored) < 1e-12
+        assert built >= 20
+
+
+def _odd_class_rep():
+    """Genus 2 with Euler class -1.  (a1, b1) is a one-holed torus with
+    tr [a1, b1] = -47.44 in SL(2, R); (a2, b2) conjugates
+    (diag(3, 1/3), P diag(3, 1/3) P^-1), P = [[cosh u, sinh u],
+    [sinh u, cosh u]], so that [a2, b2] = -[a1, b1]^-1.  The SL(2, R)
+    relator product is -I, so the handles' Euler classes add to an odd
+    number and the relator product sits near -I in floats."""
+    inv = np.linalg.inv
+    a1 = np.diag([4.0, 0.25])
+    r = Moebius.rotation(math.pi / 4).mat
+    b1 = r @ a1 @ r.T
+    target = -inv(a1 @ b1 @ inv(a1) @ inv(b1))
+    # tr [A, B] = 2t^2 + x^2 - t^2 x - 2 (Fricke), t = tr A = tr B, and
+    # x = tr AB = p cosh(2u) + q: solve for x, then for u
+    t, p, q = 10.0 / 3.0, (3.0 - 1.0 / 3.0) ** 2 / 2, (10.0 / 3.0) ** 2 / 2
+    x = (t * t + math.sqrt(t**4 - 4 * (2 * t * t - 2 - np.trace(target)))) / 2
+    u = math.acosh((x - q) / p) / 2
+    a = np.diag([3.0, 1.0 / 3.0])
+    pm = np.array([[math.cosh(u), math.sinh(u)], [math.sinh(u), math.cosh(u)]])
+    b = pm @ a @ inv(pm)
+    # Q [a, b] Q^-1 = target, through eigenvectors sorted by eigenvalue
+    vectors = []
+    for m in (target, a @ b @ inv(a) @ inv(b)):
+        values, v = np.linalg.eig(m)
+        vectors.append(v[:, np.argsort(values)])
+    q_mat = vectors[0] @ inv(vectors[1])
+    if np.linalg.det(q_mat) < 0:
+        q_mat = vectors[0] @ np.diag([1.0, -1.0]) @ inv(vectors[1])
+    a2, b2 = q_mat @ a @ inv(q_mat), q_mat @ b @ inv(q_mat)
+    return Representation(SurfaceGroup(2), tuple(Moebius(m) for m in (a1, b1, a2, b2)))
+
+
+def test_euler_class_reads_an_odd_class():
+    """The only input with an odd class: its relator product is near -I,
+    so the closure distance takes _unit_distance's x + y branch and
+    C_{4g-1} carries the factor sign(R_11) = -1."""
+    rep = _odd_class_rep()
+    e, residual = euler_class(rep)
+    assert (e, numpy_scalar_euler_class(rep)[0]) == (-1, -1)
+    assert residual < 1e-12 and relator_residual(rep) < 1e-10
+    assert euler_class(_flipped(rep))[0] == 1
+    for k in range(12):
+        assert euler_class(conjugate(rep, Moebius.rotation(0.1 + 0.25 * k)))[0] == -1
