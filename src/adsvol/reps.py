@@ -4,7 +4,7 @@ This module is deliberately floating-point: representations live in
 double precision, and the Euler class is read as an integer from the
 signs of the relator's prefix products, behind one gate on how closely
 the relator closes.
-Exact arithmetic stays in `liealg` / `forms` / `invariants`.
+Exact arithmetic stays in `liealg` / `forms` / `invariants` (and the loader's det check).
 
 Conventions
 -----------
@@ -38,17 +38,18 @@ Conventions
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import InputError, IntegralityError
 
-#: A loaded generator needs |ad - bc - 1| <= DET_TOLERANCE + 4 eps (|ad| + |bc|).
+#: Loading needs an exact ad - bc > 0 within DET_TOLERANCE + 2 eps (|ad| + |bc|) of 1.
 DET_TOLERANCE = 1e-6
-_EPS = math.ulp(1.0)
 #: Largest distance of the relator from the identity at which euler_class
 #: reads a class and `adsvol rep` writes its generators; the library's
 #: relator_residual only reports.
@@ -124,7 +125,7 @@ def _signed(a, b, c, d) -> np.ndarray:
 
 
 class Moebius:
-    """Element of PSL(2, R), stored as a normalised 2x2 float matrix."""
+    """Element of PSL(2, R): a normalised 2x2 float matrix, or one loaded as written."""
 
     __slots__ = ("mat",)
 
@@ -187,15 +188,16 @@ class Word:
 
 
 def letter_order(genus: int) -> list:
-    """Fixed enumeration order 1, -1, 2, -2, ..., 2g, -2g: the rows of
-    Representation.letter_table."""
+    """Fixed enumeration order 1, -1, 2, -2, ..., 2g, -2g, each generator
+    followed by its inverse: the rows of Representation.letter_table."""
     return [x for i in range(1, 2 * genus + 1) for x in (i, -i)]
 
 
-def _relator_rows(genus: int) -> list:
-    """The letter_table rows of prod_i a_i b_i a_i^-1 b_i^-1, unchecked:
-    a_i, b_i, a_i^-1, b_i^-1 are rows 4i, 4i+2, 4i+1, 4i+3."""
-    return [i + j for i in range(0, 4 * genus, 4) for j in (0, 2, 1, 3)]
+@functools.lru_cache
+def _relator_rows(genus: int) -> tuple:
+    """letter_order positions of prod_i a_i b_i a_i^-1 b_i^-1, unchecked."""
+    row = {x: k for k, x in enumerate(letter_order(genus))}
+    return tuple(row[x] for i in range(1, 2 * genus, 2) for x in (i, i + 1, -i, -i - 1))
 
 
 @dataclass(frozen=True)
@@ -470,23 +472,22 @@ def representation_from_json(data: dict) -> Representation:
         try:
             (a, b), (c, d) = ([float(x) for x in row] for row in entry)
         except OverflowError as exc:
-            raise InputError(
-                f"generator {index} has an entry out of float range"
-            ) from exc
+            raise InputError(f"generator {index} has an entry out of float range") from exc
         if not all(map(math.isfinite, (a, b, c, d))):
             raise InputError(f"generator {index} is not a finite 2x2 matrix")
-        # the float ad - bc is off by up to about eps (|ad| + |bc|): past
-        # DET_TOLERANCE, a generator is kept as written, not divided by noise
+        # entry rounding moves a det-1 matrix's exact ad - bc by up to about
+        # eps (|ad| + |bc|), and its float ad - bc by as much again
         ad, bc = a * d, b * c
-        det, scale = ad - bc, abs(ad) + abs(bc)
-        if not (math.isfinite(scale) and abs(det - 1.0) <= DET_TOLERANCE + 4 * _EPS * scale):
+        det, bound = ad - bc, DET_TOLERANCE + 2 * math.ulp(1.0) * (abs(ad) + abs(bc))
+        exact = Fraction(a) * Fraction(d) - Fraction(b) * Fraction(c)
+        if not (math.isfinite(bound) and exact > 0 and abs(exact - 1) <= bound):
             raise InputError(
                 f"generator {index} has determinant {det}, not 1 "
                 f"(tolerance {DET_TOLERANCE})"
             )
         if abs(det - 1.0) <= DET_TOLERANCE:
             image = Moebius([[a, b], [c, d]])
-        else:
+        else:  # its float ad - bc is rounding noise: kept as written
             image = object.__new__(Moebius)
             image.mat = _signed(a, b, c, d)
         images.append(image)

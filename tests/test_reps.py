@@ -7,6 +7,7 @@ import random
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -154,6 +155,20 @@ def test_surface_group_validation():
 def test_representation_validates_image_count():
     with pytest.raises(InputError):
         Representation(SurfaceGroup(2), (Moebius.identity(),))
+
+
+@pytest.mark.parametrize("genus", [2, 3, 7])
+def test_letter_table_rows_follow_letter_order(genus):
+    rep = fuchsian_regular_polygon(genus)
+    order = reps.letter_order(genus)
+    assert rep.letter_table.shape == (4 * genus, 2, 2)
+    assert not rep.letter_table.flags.writeable
+    for row, letter in zip(rep.letter_table, order):
+        mat = rep.images[abs(letter) - 1].mat
+        expected = mat if letter > 0 else np.array([[mat[1, 1], -mat[0, 1]], [-mat[1, 0], mat[0, 0]]])
+        assert row.tobytes() == expected.tobytes()
+    relator = [x for i in range(1, 2 * genus, 2) for x in (i, i + 1, -i, -i - 1)]
+    assert [order[row] for row in reps._relator_rows(genus)] == relator
 
 
 @pytest.mark.skipif(
@@ -656,8 +671,18 @@ def test_json_reader_rejections(tmp_path):
         ([[1.000002, 0.0], [0.0, 1.0]], "1.000002"),  # just past DET_TOLERANCE
         ([[1e200, 1e200], [1e200, 1e200]], "nan"),  # ad - bc is inf - inf
         ([[1e200, 0.0], [0.0, 1e200]], "inf"),
+        # ad - bc is exactly -0.2235: its float reads -0.25
+        ([[3e7, math.nextafter(3e7, math.inf)], [math.nextafter(3e7, math.inf), 3e7]], "-0.25"),
+        # singular, and entry rounding alone could move ad - bc by 8.9
+        ([[1e8, 1e8], [1e8, 1e8]], "0.0"),
+        # ad - bc is exactly 1.8999, and entry rounding could move it by 0.8
+        ([[3e7, 3e7], [3e7, 3e7 + 17 * math.ulp(3e7)]], "1.875"),
+        # exactly 3.3528, past the 2.22 rounding allows; the float reads 3.0
+        ([[5e7, 5e7 + 4 * math.ulp(5e7)], [5e7 + 5 * math.ulp(5e7), 5e7 + 18 * math.ulp(5e7)]],
+         "3.0"),
     ],
-    ids=["past-tolerance", "nan", "overflow"],
+    ids=["past-tolerance", "nan", "overflow", "negative", "singular", "past-rounding",
+         "float-within-rounding"],
 )
 def test_json_reader_refuses_a_determinant_off_one(entry, shown):
     data = {"genus": 2, "generators": [entry] + [[[1.0, 0.0], [0.0, 1.0]]] * 3}
@@ -665,11 +690,24 @@ def test_json_reader_refuses_a_determinant_off_one(entry, shown):
         representation_from_json(data)
 
 
+def test_json_reader_keeps_a_generator_within_rounding_of_det_one():
+    """ad - bc is exactly 1.7881, within the 0.7994 that rounding entries
+    near 3e7 allows, though its float reads 1.875: the generator is kept
+    as written."""
+    u = math.ulp(3e7)
+    entry = [[3e7, 3e7 - 24 * u], [3e7 - 8 * u, 3e7 - 16 * u]]
+    data = {"genus": 2, "generators": [entry] + [[[1.0, 0.0], [0.0, 1.0]]] * 3}
+    loaded = representation_from_json(data)
+    assert loaded.images[0].mat.tolist() == entry
+
+
 def test_steep_conjugates_read_back_after_save(tmp_path):
     """Conjugates of the polygon by R(t) [[s, u], [0, 1/s]] hold entries
     near s^2, so a stored generator's float ad - bc can read 1 + 1e-4 at
-    s = 10^3, or 0 or 3 at s = 10^4.  The loader checks the determinant
-    against that rounding, and keeps such a generator as written."""
+    s = 10^3, or 0 or 3 at s = 10^4.  The loader checks the exact
+    determinant against the rounding of the entries, and keeps such a
+    generator as written; one whose exact determinant the rounding took to
+    0 or below is refused."""
     rng = random.Random(7)
     polygon = fuchsian_regular_polygon(2)
     path = tmp_path / "steep.json"
@@ -683,6 +721,13 @@ def test_steep_conjugates_read_back_after_save(tmp_path):
                 continue
             built += 1
             save_representation(rep, path)
+            if any(
+                Fraction(a) * Fraction(d) <= Fraction(b) * Fraction(c)
+                for (a, b), (c, d) in (m.mat.tolist() for m in rep.images)
+            ):
+                with pytest.raises(InputError, match="determinant"):
+                    load_representation(path)
+                continue
             loaded = load_representation(path)
             for original, restored in zip(rep.images, loaded.images):
                 (a, b), (c, d) = original.mat.tolist()
