@@ -4,7 +4,7 @@ This module is deliberately floating-point: representations live in
 double precision, and the Euler class is read as an integer from the
 signs of the relator's prefix products, behind one gate on how closely
 the relator closes.
-Exact arithmetic stays in `liealg` / `forms` / `invariants` (and the loader's det check).
+Exact arithmetic stays in `liealg` / `forms` / `invariants`.
 
 Conventions
 -----------
@@ -42,7 +42,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -458,9 +457,7 @@ def representation_from_json(data: dict) -> Representation:
         raise InputError("'genus' must be an integer >= 2")
     generators = data.get("generators")
     if not isinstance(generators, list) or len(generators) != 2 * genus:
-        raise InputError(
-            f"'generators' must list {_genus_text(2 * genus)} matrices"
-        )
+        raise InputError(f"'generators' must list {_genus_text(2 * genus)} matrices")
     images = []
     for index, entry in enumerate(generators):
         if not (
@@ -476,11 +473,14 @@ def representation_from_json(data: dict) -> Representation:
         if not all(map(math.isfinite, (a, b, c, d))):
             raise InputError(f"generator {index} is not a finite 2x2 matrix")
         # entry rounding moves a det-1 matrix's exact ad - bc by up to about
-        # eps (|ad| + |bc|), and its float ad - bc by as much again
+        # eps (|ad| + |bc|), and its float ad - bc by as much again, so the
+        # exact ad - bc = n / q is checked against bound = m / r in integers
         ad, bc = a * d, b * c
         det, bound = ad - bc, DET_TOLERANCE + 2 * math.ulp(1.0) * (abs(ad) + abs(bc))
-        exact = Fraction(a) * Fraction(d) - Fraction(b) * Fraction(c)
-        if not (math.isfinite(bound) and exact > 0 and abs(exact - 1) <= bound):
+        (pa, qa), (pb, qb), (pc, qc), (pd, qd) = (x.as_integer_ratio() for x in (a, b, c, d))
+        n, q = pa * pd * qb * qc - pb * pc * qa * qd, qa * qb * qc * qd
+        m, r = bound.as_integer_ratio() if math.isfinite(bound) else (0, 1)
+        if not (m > 0 and n > 0 and abs(n - q) * r <= m * q):
             raise InputError(
                 f"generator {index} has determinant {det}, not 1 "
                 f"(tolerance {DET_TOLERANCE})"
