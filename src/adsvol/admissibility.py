@@ -18,9 +18,9 @@ from the empty word over bounded blocks walked depth-first: it forms a
 block's extensions by every letter as one letter-major (4g x words)
 grid, scores the grid from the diagonal entries with the inverse-letter
 cells masked out, and only for words it will extend again multiplies
-out the rest and gathers the reduced ones, once per level.  Memory stays O(block
-size x cutoff), so the word cap bounds time only, and ties go to the
-shortlex-least word.
+out the rest and gathers the reduced ones, once per level.  Memory stays
+O(words per block x 4g x cutoff), so the word cap bounds time only, and
+ties go to the shortlex-least word.
 """
 
 from __future__ import annotations
@@ -45,8 +45,11 @@ DENOMINATOR_FLOOR = 1e-6
 VERDICT_REFUTED = "refuted"
 VERDICT_NOT_REFUTED = "not_refuted"
 
-# Most rows of one block of the batched scan (see _scan).
-_BLOCK_ROWS = 1 << 13
+# Most cells (4g letters x words) of a block's grid in the batched scan:
+# of a block whose words clear numpy's buffered-broadcast threshold, and
+# of any other (see _block_words).
+_FAST_BLOCK_CELLS = 1 << 17
+_BLOCK_CELLS = 1 << 14
 
 
 def max_words_cap() -> int:
@@ -140,6 +143,24 @@ def _traces(prods, table) -> np.ndarray:
     return tr
 
 
+def _block_words(letters: int) -> int:
+    """Words per block of the scan over `letters` = 4g letters (see _scan).
+
+    numpy forms a 2-D broadcast such as _extend's `table[:, j, None] *
+    prods[k]` about 4x faster per cell once its rows, which hold the
+    block's words, exceed np.getbufsize() / 3 elements: below that it
+    copies them through its buffer.  So while such a block's grid stays
+    within _FAST_BLOCK_CELLS (through genus 11 at numpy's default buffer
+    of 8,192), a block holds the fewest words above the threshold, 2,731
+    at that buffer.  Past it the grid outgrows the gain, the cost per
+    cell no longer falls with the block, and a block holds
+    _BLOCK_CELLS cells, which measured fastest from genus 8 to 50."""
+    fast = np.getbufsize() // 3 + 1
+    if letters * fast <= _FAST_BLOCK_CELLS:
+        return fast
+    return max(1, _BLOCK_CELLS // letters)
+
+
 def _scan(rho_table, sigma_table, max_len, genus):
     """Best (ratio, witness) over all reduced words of length 1..max_len.
 
@@ -155,21 +176,20 @@ def _scan(rho_table, sigma_table, max_len, genus):
     and above it all four entries, gathered by flat index in the same
     shortlex order, once per level.  The root block is the empty word:
     the identity, with every letter allowed.  The extensions are cut
-    into blocks of at most _BLOCK_ROWS // (4g - 1) words, each visited
-    to full depth before the next, so live memory is
-    O(_BLOCK_ROWS * max_len).  Words of equal length are met in shortlex
-    order, so a later maximum replaces the best only when it is larger,
-    or equal and shorter.  Products accumulate left to right in plain
-    float arithmetic, so neither the blocking nor the layout changes a
-    single rounding.  A product that leaves the float range is scored 0
-    or not at all, which still bounds from below, unless it makes a
-    block's best ratio inf or nan (inf / inf): no bound can be read
-    then, so the scan raises InputError, and numpy's float warnings stay
-    quiet."""
+    into blocks of _block_words(4g) words, each visited to full depth
+    before the next, so live memory is O(words per block x 4g x
+    max_len).  Words of equal length are met in shortlex order, so a
+    later maximum replaces the best only when it is larger, or equal and
+    shorter.  Products accumulate left to right in plain float
+    arithmetic, so neither the blocking nor the layout changes a single
+    rounding.  A product that leaves the float range is scored 0 or not
+    at all, which still bounds from below, unless it makes a block's
+    best ratio inf or nan (inf / inf): no bound can be read then, so the
+    scan raises InputError, and numpy's float warnings stay quiet."""
     order = letter_order(genus)
     n = len(order)
     alphabet = np.arange(n, dtype=np.min_scalar_type(n))
-    step = max(1, _BLOCK_ROWS // (n - 1))
+    step = _block_words(n)
     best_ratio, best_witness = 0.0, None
 
     def visit(rho_m, sigma_m, letters, mask):

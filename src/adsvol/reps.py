@@ -47,7 +47,8 @@ import numpy as np
 
 from .errors import InputError, IntegralityError
 
-#: Loading needs an exact ad - bc > 0 within DET_TOLERANCE + 2 eps (|ad| + |bc|) of 1.
+#: Saving and loading need an exact ad - bc > 0 within DET_TOLERANCE +
+#: 2 eps (|ad| + |bc|) of 1.
 DET_TOLERANCE = 1e-6
 #: Largest distance of the relator from the identity at which euler_class
 #: reads a class and `adsvol rep` writes its generators; the library's
@@ -260,13 +261,13 @@ def relator_residual(rep: Representation) -> float:
     normalised raises Moebius's InputError: one that is not finite, or
     whose ad - bc cancels to zero or below."""
     acc = _IDENTITY
+    table = rep.letter_table
+    entries = table.reshape(-1, 4).tolist()
     # a product that overflows to inf or nan is refused by the normaliser,
     # so numpy's warnings about it would only repeat the refusal
     with np.errstate(over="ignore", invalid="ignore"):
         for row in _relator_rows(rep.genus):
-            m = rep.letter_table[row]
-            if row & 1:
-                m = _normalised(m.ravel().tolist())
+            m = _normalised(entries[row]) if row & 1 else table[row]
             acc = _normalised(acc.dot(m).ravel().tolist())
     return _unit_distance(acc.ravel().tolist(), (1.0, 0.0, 0.0, 1.0))
 
@@ -433,11 +434,35 @@ def euler_class(rep: Representation) -> tuple:
 # ---------------------------------------------------------------------------
 
 def representation_to_json(rep: Representation) -> dict:
-    """{"genus": g, "generators": [row-major 2x2 floats, det 1]}."""
-    return {
-        "genus": rep.genus,
-        "generators": [m.mat.tolist() for m in rep.images],
-    }
+    """{"genus": g, "generators": [row-major 2x2 floats, det 1]}.
+
+    Raises InputError, naming the generator, when representation_from_json
+    would refuse its stored entries: rounding the entries of a steep
+    generator can take their exact ad - bc to 0 or below."""
+    generators = [m.mat.tolist() for m in rep.images]
+    for index, ((a, b), (c, d)) in enumerate(generators):
+        _checked_determinant(index, a, b, c, d)
+    return {"genus": rep.genus, "generators": generators}
+
+
+def _checked_determinant(index: int, a: float, b: float, c: float, d: float) -> float:
+    """The float ad - bc of generator `index`, after checking that its
+    exact ad - bc is positive and within DET_TOLERANCE + 2 eps (|ad| +
+    |bc|) of 1; InputError otherwise."""
+    # entry rounding moves a det-1 matrix's exact ad - bc by up to about
+    # eps (|ad| + |bc|), and its float ad - bc by as much again, so the
+    # exact ad - bc = n / q is checked against bound = m / r in integers
+    ad, bc = a * d, b * c
+    det, bound = ad - bc, DET_TOLERANCE + 2 * math.ulp(1.0) * (abs(ad) + abs(bc))
+    (pa, qa), (pb, qb), (pc, qc), (pd, qd) = (x.as_integer_ratio() for x in (a, b, c, d))
+    n, q = pa * pd * qb * qc - pb * pc * qa * qd, qa * qb * qc * qd
+    m, r = bound.as_integer_ratio() if math.isfinite(bound) else (0, 1)
+    if not (m > 0 and n > 0 and abs(n - q) * r <= m * q):
+        raise InputError(
+            f"generator {index} has determinant {det}, not 1 "
+            f"(tolerance {DET_TOLERANCE})"
+        )
+    return det
 
 
 def _is_number_pair(row) -> bool:
@@ -472,19 +497,7 @@ def representation_from_json(data: dict) -> Representation:
             raise InputError(f"generator {index} has an entry out of float range") from exc
         if not all(map(math.isfinite, (a, b, c, d))):
             raise InputError(f"generator {index} is not a finite 2x2 matrix")
-        # entry rounding moves a det-1 matrix's exact ad - bc by up to about
-        # eps (|ad| + |bc|), and its float ad - bc by as much again, so the
-        # exact ad - bc = n / q is checked against bound = m / r in integers
-        ad, bc = a * d, b * c
-        det, bound = ad - bc, DET_TOLERANCE + 2 * math.ulp(1.0) * (abs(ad) + abs(bc))
-        (pa, qa), (pb, qb), (pc, qc), (pd, qd) = (x.as_integer_ratio() for x in (a, b, c, d))
-        n, q = pa * pd * qb * qc - pb * pc * qa * qd, qa * qb * qc * qd
-        m, r = bound.as_integer_ratio() if math.isfinite(bound) else (0, 1)
-        if not (m > 0 and n > 0 and abs(n - q) * r <= m * q):
-            raise InputError(
-                f"generator {index} has determinant {det}, not 1 "
-                f"(tolerance {DET_TOLERANCE})"
-            )
+        det = _checked_determinant(index, a, b, c, d)
         if abs(det - 1.0) <= DET_TOLERANCE:
             image = Moebius([[a, b], [c, d]])
         else:  # its float ad - bc is rounding noise: kept as written
@@ -495,8 +508,9 @@ def representation_from_json(data: dict) -> Representation:
 
 
 def save_representation(rep: Representation, path) -> None:
+    data = representation_to_json(rep)  # refused before the file is opened
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(representation_to_json(rep), handle, indent=2)
+        json.dump(data, handle, indent=2)
         handle.write("\n")
 
 

@@ -258,12 +258,13 @@ def shortlex_key(letters, genus):
     return (len(letters), tuple(rank[x] for x in letters))
 
 
-def masked_reference_scan(rho_table, sigma_table, max_len, genus, block_rows, floor):
+def masked_reference_scan(rho_table, sigma_table, max_len, genus, block_words, floor):
     """The Lipschitz-ratio word scan in its masked-gather form, as a
     bitwise reference for `admissibility._scan`: (best ratio, witness
     letters or None, words scanned).
 
-    The tables are `Representation.letter_table.reshape(-1, 4)`.  Each
+    The tables are `Representation.letter_table.reshape(-1, 4)`, and
+    each level's words are visited in blocks of block_words.  Each
     level forms every (row, letter) entry of the extensions, gathers the
     kept pairs with the boolean mask once per entry and scores only the
     gathered words.  The arithmetic per entry and the np.arccosh calls
@@ -274,7 +275,7 @@ def masked_reference_scan(rho_table, sigma_table, max_len, genus, block_rows, fl
     n = len(order)
     alphabet = np.arange(n, dtype=np.min_scalar_type(n))
     keep = alphabet[None, :] != (alphabet ^ 1)[:, None]
-    step = max(1, block_rows // (n - 1))
+    step = block_words
     best = {"ratio": 0.0, "witness": None, "scanned": 0}
 
     def extend(prods, table, mask, entries):

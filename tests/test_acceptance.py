@@ -261,16 +261,16 @@ def test_criterion_8_admissibility_estimator():
         repeat = admissibility.lipschitz_lower_bound(rho, sigma, max_len=4)
         again = admissibility.lipschitz_lower_bound(rho, sigma, max_len=4)
         assert (repeat.lower_bound, repeat.witness) == (again.lower_bound, again.witness)
-        saved = admissibility._BLOCK_ROWS
+        saved = admissibility._block_words
         try:
-            for block_rows in (1, 21, 100, 1000):
-                admissibility._BLOCK_ROWS = block_rows
+            for block_words in (1, 3, 14, 142):
+                admissibility._block_words = lambda letters: block_words
                 est = admissibility.lipschitz_lower_bound(rho, sigma, max_len=4)
-                assert est.lower_bound == repeat.lower_bound, block_rows
-                assert est.witness == repeat.witness, block_rows
-                assert est.words_scanned == repeat.words_scanned, block_rows
+                assert est.lower_bound == repeat.lower_bound, block_words
+                assert est.witness == repeat.witness, block_words
+                assert est.words_scanned == repeat.words_scanned, block_words
         finally:
-            admissibility._BLOCK_ROWS = saved
+            admissibility._block_words = saved
 
 
 def test_criterion_9_cli_contract(tmp_path, capsys, monkeypatch):

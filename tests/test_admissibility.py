@@ -163,14 +163,15 @@ def test_identity_and_trivial_ties_are_exact_at_depth_six(fuchsian_g2):
     assert (est.lower_bound, est.witness) == (0.0, Word((1,)))
 
 
-@pytest.mark.parametrize("block_rows", [None, 7])
-def test_exact_ties_go_to_the_shortlex_least_word(fuchsian_g2, monkeypatch, block_rows):
+@pytest.mark.parametrize("block_words", [None, 7, 1])
+def test_exact_ties_go_to_the_shortlex_least_word(fuchsian_g2, monkeypatch, block_words):
     # against rho itself every ratio is exactly 1, against the trivial
     # rep exactly 0, so the witness is the shortlex-least word whose
     # rho-length clears the floor; tiny blocks make a shorter word turn
-    # up after longer ones
-    if block_rows is not None:
-        monkeypatch.setattr(admissibility, "_BLOCK_ROWS", block_rows)
+    # up after longer ones: blocks of 7 words split the 8 generators 7/1,
+    # and blocks of 1 word put a block edge after every word
+    if block_words is not None:
+        monkeypatch.setattr(admissibility, "_block_words", lambda letters: block_words)
     lengths = _reference_lengths(fuchsian_g2, 2, 4)
     floors = sorted({round(v, 9) for w, v in lengths.items() if len(w) <= 3})
     for floor in floors[:-1]:
@@ -209,26 +210,42 @@ def test_block_boundaries_do_not_change_the_result(
         return est.lower_bound, est.witness, est.words_scanned
 
     default = [run(*pair) for pair in pairs]
-    # 7 rows is less than one parent's children at genus 3; 21 rows make
-    # 3-row blocks at genus 2, which split the 8 generators 3/3/2
-    for block_rows in (7, 21):
-        monkeypatch.setattr(admissibility, "_BLOCK_ROWS", block_rows)
-        assert [run(*pair) for pair in pairs] == default, block_rows
+    # blocks of 1 and 3 words hold fewer than one parent's children (7
+    # at genus 2, 11 at genus 3); 3-word blocks split the 8 generators of
+    # genus 2 3/3/2
+    for block_words in (1, 3):
+        monkeypatch.setattr(admissibility, "_block_words", lambda letters: block_words)
+        assert [run(*pair) for pair in pairs] == default, block_words
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4, 5])
+def test_default_blocks_clear_numpys_buffered_broadcast_threshold(genus):
+    # numpy runs _extend's and _traces' broadcasts about 4x slower per
+    # cell while a row, a block's words, holds np.getbufsize() / 3
+    # elements or fewer
+    assert admissibility._block_words(4 * genus) > np.getbufsize() // 3
 
 
 def test_scan_memory_is_bounded_by_the_block(fuchsian_g2):
-    # a g=2, L=7 scan covers 1.1 M words; blocked it peaks near 2.4 MB,
+    # a g=2, L=7 scan covers 1.1 M words; blocked it peaks near 5 MiB,
     # while the rho and sigma products of all 941,192 words of length 7
-    # would take 60 MB
-    sigma = reps.conjugate(fuchsian_g2, Moebius([[1.2, 0.1], [0.4, 1.0]]))
-    tracemalloc.start()
-    try:
-        est = lipschitz_lower_bound(fuchsian_g2, sigma, max_len=7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert est.words_scanned == reduced_word_count(2, 7)
-    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    # would take 60 MB.  A g=50, L=3 scan peaks near 2.4 MiB in blocks
+    # of 81 words; blocks of 2,731 words, above numpy's threshold, would
+    # make grids of 200 x 2,731 cells and peak near 25 MiB
+    shear = Moebius([[1.2, 0.1], [0.4, 1.0]])
+    for rho, max_len, bound_mib in (
+        (fuchsian_g2, 7, 8),
+        (reps.fuchsian_regular_polygon(50), 3, 4),
+    ):
+        sigma = reps.conjugate(rho, shear)
+        tracemalloc.start()
+        try:
+            est = lipschitz_lower_bound(rho, sigma, max_len=max_len)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.words_scanned == reduced_word_count(rho.genus, max_len)
+        assert peak < bound_mib * 2**20, f"g={rho.genus}: peak {peak / 2**20:.1f} MiB"
 
 
 # (genus, sigma, max_len, lower_bound.hex(), witness, words_scanned),
@@ -336,11 +353,7 @@ def test_scan_reproduces_the_golden_roundings(
 
 @pytest.mark.parametrize(
     "genus, target, max_len, block_rows",
-    [
-        (*case[:3], block_rows)
-        for block_rows in (admissibility._BLOCK_ROWS, 64)
-        for case in GOLDEN
-    ]
+    [(*case[:3], block_rows) for block_rows in (None, 8192, 64) for case in GOLDEN]
     # blocks of one word put a block edge after every word
     + [(*case[:3], 1) for case in GOLDEN if case[2] <= 2]
     + [(2, "conjugate", 4, 1)],
@@ -349,9 +362,16 @@ def test_grid_scan_matches_the_masked_reference(
     genus, target, max_len, block_rows, monkeypatch
 ):
     # both scans call the same np.arccosh, so unlike the golden hex this
-    # holds on every CPU; 64 rows make blocks of 9 words at genus 2 and
-    # of 5 at genus 3
-    monkeypatch.setattr(admissibility, "_BLOCK_ROWS", block_rows)
+    # holds on every CPU.  None keeps the library's blocks; otherwise a
+    # block holds as many words as have block_rows reduced extensions,
+    # block_rows // (4g - 1): 8192 rows make blocks of 1,170 words at
+    # genus 2 and 744 at genus 3, below numpy's buffered-broadcast
+    # threshold, and 64 rows blocks of 9 and 5
+    if block_rows is None:
+        block_words = admissibility._block_words(4 * genus)
+    else:
+        block_words = max(1, block_rows // (4 * genus - 1))
+        monkeypatch.setattr(admissibility, "_block_words", lambda letters: block_words)
     rho, sigma = _golden_pair(genus, target)
     est = lipschitz_lower_bound(rho, sigma, max_len=max_len)
     ratio, witness, scanned = masked_reference_scan(
@@ -359,7 +379,7 @@ def test_grid_scan_matches_the_masked_reference(
         sigma.letter_table.reshape(-1, 4),
         max_len,
         genus,
-        block_rows,
+        block_words,
         admissibility.DENOMINATOR_FLOOR,
     )
     assert (est.lower_bound.hex(), est.witness, est.words_scanned) == (

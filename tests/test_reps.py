@@ -706,12 +706,14 @@ def test_steep_conjugates_read_back_after_save(tmp_path):
     near s^2, so a stored generator's float ad - bc can read 1 + 1e-4 at
     s = 10^3, or 0 or 3 at s = 10^4.  The loader checks the exact
     determinant against the rounding of the entries, and keeps such a
-    generator as written; one whose exact determinant the rounding took to
-    0 or below is refused."""
-    rng = random.Random(7)
+    generator as written.  One whose exact determinant the rounding took to
+    0 or below is refused at save, naming it, and no file is written: so
+    whatever is saved loads."""
     polygon = fuchsian_regular_polygon(2)
-    path = tmp_path / "steep.json"
+    path, refused_path = tmp_path / "steep.json", tmp_path / "refused.json"
+    refused = 0
     for s in (1e3, 1e4):
+        rng = random.Random(7)
         built = 0
         for _ in range(40):
             t, u = rng.uniform(0.0, math.pi), rng.uniform(-1.0, 1.0)
@@ -720,14 +722,16 @@ def test_steep_conjugates_read_back_after_save(tmp_path):
             except InputError:  # conjugate's own renormalised products cancel
                 continue
             built += 1
-            save_representation(rep, path)
             if any(
                 Fraction(a) * Fraction(d) <= Fraction(b) * Fraction(c)
                 for (a, b), (c, d) in (m.mat.tolist() for m in rep.images)
             ):
-                with pytest.raises(InputError, match="determinant"):
-                    load_representation(path)
+                refused += 1
+                with pytest.raises(InputError, match=r"^generator \d+ has determinant"):
+                    save_representation(rep, refused_path)
+                assert not refused_path.exists()
                 continue
+            save_representation(rep, path)
             loaded = load_representation(path)
             for original, restored in zip(rep.images, loaded.images):
                 (a, b), (c, d) = original.mat.tolist()
@@ -735,6 +739,8 @@ def test_steep_conjugates_read_back_after_save(tmp_path):
                     assert restored.mat.tobytes() == original.mat.tobytes()
                 assert original.dist_mod_sign(restored) < 1e-12
         assert built >= 20
+    # the second draw at s = 10^4 is one of them
+    assert refused >= 1
 
 
 def _odd_class_rep():
