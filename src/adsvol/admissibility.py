@@ -25,6 +25,7 @@ ties go to the shortlex-least word.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -52,39 +53,34 @@ _FAST_BLOCK_CELLS = 1 << 17
 _BLOCK_CELLS = 1 << 14
 
 
-def max_words_cap() -> int:
-    """Safety valve on the enumeration size; override with the
-    ADSVOL_MAX_WORDS environment variable."""
-    raw = os.environ.get(MAX_WORDS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_WORDS
+def _words_per_length(genus: int, max_len: int):
+    """The number 4g (4g - 1)^(L-1) of reduced words of length L, for
+    L = 1..max_len, one length at a time."""
+    n = 4 * genus
+    return (n * (n - 1) ** (length - 1) for length in range(1, max_len + 1))
+
+
+def reduced_word_count(genus: int, max_len: int) -> int:
+    """Number of reduced words of length 1..max_len."""
+    return sum(_words_per_length(genus, max_len))
+
+
+def check_word_budget(genus: int, max_len: int) -> None:
+    """InputError if the reduced words of length 1..max_len outnumber the
+    cap, the ADSVOL_MAX_WORDS environment variable or DEFAULT_MAX_WORDS;
+    the count stops at the first length that goes over it."""
+    raw = os.environ.get(MAX_WORDS_ENV, str(DEFAULT_MAX_WORDS))
     try:
         cap = int(raw)
     except ValueError as exc:
         raise InputError(f"{MAX_WORDS_ENV} must be an integer, got {raw!r}") from exc
     if cap <= 0:
         raise InputError(f"{MAX_WORDS_ENV} must be positive, got {cap}")
-    return cap
-
-
-def reduced_word_count(genus: int, max_len: int) -> int:
-    """Number of reduced words of length 1..max_len: per length L the
-    count is 4g (4g - 1)^(L-1)."""
-    n = 4 * genus
-    return sum(n * (n - 1) ** (length - 1) for length in range(1, max_len + 1))
-
-
-def check_word_budget(genus: int, max_len: int) -> None:
-    """InputError if the reduced words of length 1..max_len outnumber
-    max_words_cap(); counts one length at a time, stopping at the cap."""
-    cap, total, n = max_words_cap(), 0, 4 * genus
-    for length in range(1, max_len + 1):
-        total += n * (n - 1) ** (length - 1)
-        if total > cap:
-            raise InputError(
-                f"scanning to depth {max_len} goes over the cap of {cap} words; "
-                f"raise {MAX_WORDS_ENV} to allow it"
-            )
+    if any(total > cap for total in itertools.accumulate(_words_per_length(genus, max_len))):
+        raise InputError(
+            f"scanning to depth {max_len} goes over the cap of {cap} words; "
+            f"raise {MAX_WORDS_ENV} to allow it"
+        )
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its integer check.
+"""Exception types shared across the package, and its integer and genus checks.
 
 The CLI maps these onto its exit-code contract: bad input -> 2, I/O
 trouble -> 3, no readable Euler class -> 4.  A verification failure
@@ -14,6 +14,13 @@ def _require_int(name: str, value) -> None:
     """Refuse anything but an int; bool is refused too."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise InputError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_genus(value, name: str = "genus") -> None:
+    """Refuse anything but the genus of a closed surface group, an int
+    >= 2 (so bool is refused too)."""
+    if not isinstance(value, int) or value < 2:
+        raise InputError(f"{name} must be an integer >= 2")
 
 
 class IntegralityError(RuntimeError):

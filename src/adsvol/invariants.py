@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import forms
-from .errors import ConventionWarning, InputError, _require_int
+from .errors import ConventionWarning, InputError, _require_genus, _require_int
 from .liealg import as_fraction
 
 #: cs_density of the canonical form on the reference frame, frozen after
@@ -82,8 +82,7 @@ class AdSDescriptor:
         if self.k == 0:
             raise InputError("covering degree k must be nonzero")
         if self.genus is not None:
-            if not isinstance(self.genus, int) or self.genus < 2:
-                raise InputError("genus must be an integer >= 2")
+            _require_genus(self.genus)
             bound = 2 * self.genus - 2
             if abs(self.e) > bound or abs(self.f) > bound:
                 raise InputError(

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, IntegralityError
+from .errors import InputError, IntegralityError, _require_genus
 
 #: Saving and loading need an exact ad - bc > 0 within DET_TOLERANCE +
 #: 2 eps (|ad| + |bc|) of 1.
@@ -154,14 +154,6 @@ class Moebius:
     def inverse(self) -> "Moebius":
         return Moebius(_adjugate(self.mat))
 
-    def dist_mod_sign(self, other: "Moebius") -> float:
-        """Frobenius distance in PSL(2, R), i.e. up to scale and sign.
-
-        Each matrix is rescaled to unit Frobenius norm before comparing;
-        det-based normalisation is too noisy here because det = ad - bc
-        cancels catastrophically for large-entry products."""
-        return _unit_distance(self.mat.ravel().tolist(), other.mat.ravel().tolist())
-
     def __repr__(self) -> str:
         return f"Moebius({self.mat.tolist()!r})"
 
@@ -207,12 +199,7 @@ class SurfaceGroup:
     genus: int
 
     def __post_init__(self):
-        if not isinstance(self.genus, int) or self.genus < 2:
-            raise InputError("genus must be an integer >= 2")
-
-    @property
-    def rank(self) -> int:
-        return 2 * self.genus
+        _require_genus(self.genus)
 
 
 @dataclass(frozen=True)
@@ -228,10 +215,10 @@ class Representation:
     def __post_init__(self):
         images = tuple(self.images)
         object.__setattr__(self, "images", images)
-        if len(images) != self.group.rank:
+        if len(images) != 2 * self.genus:
             raise InputError(
-                f"genus {_genus_text(self.group.genus)} has rank "
-                f"{_genus_text(self.group.rank)}: it needs one image per "
+                f"genus {_genus_text(self.genus)} has rank "
+                f"{_genus_text(2 * self.genus)}: it needs one image per "
                 f"generator, got {len(images)}"
             )
         if not all(isinstance(m, Moebius) for m in images):
@@ -249,7 +236,7 @@ class Representation:
 
 def trivial_representation(genus: int) -> Representation:
     group = SurfaceGroup(genus)
-    return Representation(group, tuple(Moebius.identity() for _ in range(group.rank)))
+    return Representation(group, tuple(Moebius.identity() for _ in range(2 * genus)))
 
 
 def relator_residual(rep: Representation) -> float:
@@ -478,8 +465,7 @@ def representation_from_json(data: dict) -> Representation:
     if not isinstance(data, dict):
         raise InputError("representation file must contain a JSON object")
     genus = data.get("genus")
-    if not isinstance(genus, int) or isinstance(genus, bool) or genus < 2:
-        raise InputError("'genus' must be an integer >= 2")
+    _require_genus(genus, "'genus'")
     generators = data.get("generators")
     if not isinstance(generators, list) or len(generators) != 2 * genus:
         raise InputError(f"'generators' must list {_genus_text(2 * genus)} matrices")

@@ -222,6 +222,13 @@ def evaluate(rep, letters):
     return result
 
 
+def psl_distance(x, y) -> float:
+    """Frobenius distance of two `reps.Moebius` in PSL(2, R), up to
+    scale and sign: each matrix scaled to unit Frobenius norm first,
+    since ad - bc cancels for large-entry products."""
+    return _unit_distance(x.mat.ravel().tolist(), y.mat.ravel().tolist())
+
+
 def translation_length(m) -> float:
     """2 arccosh(|tr|/2) of a `reps.Moebius` when hyperbolic, else 0."""
     (a, _), (_, d) = m.mat.tolist()

@@ -414,6 +414,34 @@ def test_grid_ratios_read_minus_one_outside_the_scored_cells():
     assert divmod(i, 3) == (0, 1)
 
 
+def test_a_nan_sigma_trace_scores_length_zero_and_the_bound_stays_finite():
+    """sigma(a1) = diag(1e200, 1e-200) overflows a1 a1 to [[inf, 0], [0, 0]],
+    so sigma(a1 a1 b1) has trace 0 * inf = nan, while rho(a1 a1 b1) is
+    hyperbolic and the word is scored.  np.fmax reads that nan as
+    length 0; np.maximum would carry it into the ratio, and the scan
+    would refuse the depth.  Every word whose sigma-trace overflows to
+    inf has an elliptic rho-image (a power of rho(a1)), so it is not
+    scored and the best ratio stays finite."""
+    one = Moebius.identity()
+    s = 1e200
+    sigma = Representation(SurfaceGroup(2), (
+        Moebius([[s, 0.0], [0.0, 1.0 / s]]), Moebius([[0.0, -1.0], [1.0, 0.0]]), one, one,
+    ))
+    rho = Representation(SurfaceGroup(2), (
+        Moebius.rotation(0.3), Moebius([[2.0, 1.0], [1.0, 1.0]]), one, one,
+    ))
+    a1, b1 = sigma.images[0].mat, sigma.images[1].mat
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(np.trace(a1 @ a1 @ b1))
+    assert translation_length(evaluate(rho, (1, 1, 2))) > 1.0
+    est = lipschitz_lower_bound(rho, sigma, max_len=3)
+    tables = (rep.letter_table.reshape(-1, 4) for rep in (rho, sigma))
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = masked_reference_scan(*tables, 3, 2, 7, admissibility.DENOMINATOR_FLOOR)
+    assert (est.lower_bound, est.witness.letters) == expected[:2]
+    assert math.isfinite(est.lower_bound) and est.witness == Word((1, 2, 2))
+
+
 def test_genus_mismatch_rejected(fuchsian_g2, fuchsian_g3):
     with pytest.raises(InputError):
         lipschitz_lower_bound(fuchsian_g2, fuchsian_g3, max_len=2)
@@ -518,6 +546,22 @@ def test_report_extremal_sigma_refutes_even_with_zero_bound(fuchsian_g2, monkeyp
     assert report.lipschitz.lower_bound == 0.0
     assert report.lipschitz.witness is None
     assert abs(report.euler_sigma) == 2
+    assert report.verdict == VERDICT_REFUTED
+
+
+@pytest.mark.parametrize("genus, max_len", [(2, 1), (3, 1), (2, 2)])
+def test_report_refutes_at_a_bound_of_exactly_one(genus, max_len):
+    """sigma = (rho(a1), I, ..., I) shares rho's own a1, so the word a1
+    scores exactly 1 and no word scores more; sigma's Euler class 0
+    cannot refute, so the verdict rests on `lower_bound >= 1` alone."""
+    rho = reps.fuchsian_regular_polygon(genus)
+    sigma = Representation(
+        rho.group, (rho.images[0],) + tuple(Moebius.identity() for _ in range(2 * genus - 1))
+    )
+    report = admissibility_report(rho, sigma, max_len=max_len)
+    assert report.lipschitz.lower_bound.hex() == "0x1.0000000000000p+0"
+    assert report.lipschitz.witness == Word((1,))
+    assert report.euler_sigma == 0
     assert report.verdict == VERDICT_REFUTED
 
 

@@ -488,6 +488,47 @@ def test_verify_detects_cs_formula_faults(capsys, monkeypatch, name, fault, fail
     assert {c["name"] for c in payload["checks"] if not c["passed"]} == failing
 
 
+def _wrong_at_minus_two(true):
+    """unit_tangent_volume off by one at e = -2 only, the end of the
+    range unit-tangent checks."""
+    return lambda e: true(e) + (e == -2)
+
+
+def _no_inverse(true):
+    """chasles(x, -x) = x for x != 0: none of chasles' 200 seeded
+    descriptors has |e| = |f|, so only its inverse law meets the fault."""
+    return lambda ab, bc: ab if ab and bc == -ab else true(ab, bc)
+
+
+def _halved(true):
+    """An Euler class of half the true one: every polygon reads below
+    the Milnor-Wood bound |e| = 2g - 2, and the classes 0 stay 0."""
+    def euler_class(rep):
+        euler, residual = true(rep)
+        return euler // 2, residual
+    return euler_class
+
+
+@pytest.mark.parametrize(
+    "module, name, fault, check, detail",
+    [
+        (invariants, "unit_tangent_volume", _wrong_at_minus_two, "unit-tangent",
+         "unit tangent volume mismatch at e = -2"),
+        (invariants, "chasles", _no_inverse, "chasles", "Chasles unit/inverse laws fail"),
+        (reps, "euler_class", _halved, "milnor-wood", "polygon Euler class -1 at genus 2"),
+    ],
+    ids=["unit-tangent-at-minus-two", "chasles-inverse", "milnor-wood-below-bound"],
+)
+def test_verify_detects_a_fault_only_one_clause_sees(
+    capsys, monkeypatch, module, name, fault, check, detail
+):
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 1
+    failed = [c for c in parse_single_json(out)["checks"] if not c["passed"]]
+    assert [(c["name"], c["detail"]) for c in failed] == [(check, detail)]
+
+
 def _flip_h(true):
     """[E, F] = -H: one structure constant with its sign flipped."""
     def bracket(x, y):

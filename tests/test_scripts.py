@@ -74,3 +74,24 @@ def test_lipschitz_growth_reports_a_library_input_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: matrix is not conjugate to a real one\n"
+
+
+def test_every_mutant_applies_once_and_names_what_kills_it():
+    """The mutation check's list stays applicable: each mutant's text
+    occurs exactly once in its file, and the list covers the faults
+    ROADMAP item 21 names."""
+    mutants = load_script("mutants")
+    # a mutated copy fails this test, so the runner deselects it by name
+    this = test_every_mutant_applies_once_and_names_what_kills_it.__name__
+    assert mutants.LIST_TEST == f"tests/test_scripts.py::{this}"
+    names = [m.name for m in mutants.MUTANTS]
+    assert len(set(names)) == len(names) >= 9
+    for m in mutants.MUTANTS:
+        assert mutants.stale(m) is None, m.name
+        assert m.old != m.new and m.note
+    assert {
+        "euler-drops-sign-r11", "unit-distance-drops-sign", "det-tolerance-x10",
+        "word-cap-accepts-zero", "verdict-strict", "ratios-maximum",
+        "unit-tangent-skips-minus-two", "chasles-drops-inverse-law",
+        "milnor-wood-below-bound",
+    } <= set(names)
