@@ -1,14 +1,14 @@
 """Mutation check: does tier-1 catch each of a fixed list of faults?
 
-    python3 scripts/mutants.py            # every mutant in MUTANTS
-    python3 scripts/mutants.py NAME ...   # only these
+    python3 scripts/mutants.py
 
 Each mutant replaces one exact piece of text in one file under src/.
 It is applied to a temporary copy of the checkout, never to the
 checkout itself, and tier-1 runs there with -x, less the one test that
 checks this list against the checkout.  The mutant is killed when a
-test fails and survived when all pass.  A clean copy runs first and
-must pass, or nothing is reported.  Uses the standard library only;
+test fails and survived when all pass; a survivor's line also prints
+the note that names the test meant to kill it.  A clean copy runs first
+and must pass, or nothing is reported.  Uses the standard library only;
 the tests need what tier-1 needs.
 
 Exit 0 when every mutant is killed, 1 when one survived, 2 when the
@@ -18,7 +18,6 @@ mutant's text is not found exactly once (the list is stale).
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -40,7 +39,7 @@ class Mutant(NamedTuple):
     path: str  # relative to the repository root
     old: str
     new: str
-    note: str  # what kills it
+    note: str  # what kills it; printed when the mutant survives
 
 
 MUTANTS = (
@@ -169,16 +168,8 @@ def imported_from(where: Path) -> Path:
     return Path(out.strip()).resolve()
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    args = parser.parse_args(argv)
-    known = {m.name: m for m in MUTANTS}
-    unknown = [name for name in args.names if name not in known]
-    if unknown:
-        parser.error(f"unknown mutant(s): {', '.join(unknown)}")
-    chosen = [known[name] for name in args.names] or list(MUTANTS)
-    problems = [f"{m.name}: {why}" for m in chosen if (why := stale(m))]
+def main() -> int:
+    problems = [f"{m.name}: {why}" for m in MUTANTS if (why := stale(m))]
     if problems:
         print("stale mutant list:\n  " + "\n  ".join(problems), file=sys.stderr)
         return 2
@@ -194,7 +185,7 @@ def main(argv=None) -> int:
         print(f"{'passed' if passed else 'FAILED':8} clean copy ({seconds:.1f} s)", flush=True)
         if not passed:
             return 2
-        for m in chosen:
+        for m in MUTANTS:
             target = work / m.path
             original = target.read_text(encoding="utf-8")
             target.write_text(original.replace(m.old, m.new), encoding="utf-8")
@@ -205,7 +196,9 @@ def main(argv=None) -> int:
             survived += passed
             verdict = "survived" if passed else "killed"
             print(f"{verdict:8} {m.name} ({seconds:.1f} s)", flush=True)
-    print(f"{len(chosen) - survived} of {len(chosen)} killed")
+            if passed:
+                print(f"         meant to be killed by: {m.note}", flush=True)
+    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} killed")
     return 1 if survived else 0
 
 

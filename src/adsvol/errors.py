@@ -16,7 +16,7 @@ def _require_int(name: str, value) -> None:
         raise InputError(f"{name} must be an integer, got {value!r}")
 
 
-def _require_genus(value, name: str = "genus") -> None:
+def _require_genus(name: str, value) -> None:
     """Refuse anything but the genus of a closed surface group, an int
     >= 2 (so bool is refused too)."""
     if not isinstance(value, int) or value < 2:

@@ -82,7 +82,7 @@ class AdSDescriptor:
         if self.k == 0:
             raise InputError("covering degree k must be nonzero")
         if self.genus is not None:
-            _require_genus(self.genus)
+            _require_genus("genus", self.genus)
             bound = 2 * self.genus - 2
             if abs(self.e) > bound or abs(self.f) > bound:
                 raise InputError(

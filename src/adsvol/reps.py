@@ -199,7 +199,7 @@ class SurfaceGroup:
     genus: int
 
     def __post_init__(self):
-        _require_genus(self.genus)
+        _require_genus("genus", self.genus)
 
 
 @dataclass(frozen=True)
@@ -465,7 +465,7 @@ def representation_from_json(data: dict) -> Representation:
     if not isinstance(data, dict):
         raise InputError("representation file must contain a JSON object")
     genus = data.get("genus")
-    _require_genus(genus, "'genus'")
+    _require_genus("'genus'", genus)
     generators = data.get("generators")
     if not isinstance(generators, list) or len(generators) != 2 * genus:
         raise InputError(f"'generators' must list {_genus_text(2 * genus)} matrices")
