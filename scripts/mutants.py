@@ -44,11 +44,17 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
-        "euler-drops-sign-r11", "src/adsvol/reps.py",
-        "prefix = prefix[:-2] + (((a > 0) - (a < 0)) * letters[-3],)",
-        "prefix = prefix[:-2] + (letters[-3],)",
-        "the odd class, whose relator product is near -I, reads 0: "
-        "test_euler_class_reads_an_odd_class",
+        "wrap-range", "src/adsvol/reps.py",
+        "    return (x + math.pi / 2) % math.pi - math.pi / 2",
+        "    return x % math.pi",
+        "every cocycle step lands in [0, pi), so the polygons read wrong classes: "
+        "test_euler_class_fuchsian_is_minus_chi, test_criterion_7_euler_classes",
+    ),
+    Mutant(
+        "round-truncates", "src/adsvol/reps.py",
+        "euler = round(turn / math.pi)", "euler = int(turn / math.pi)",
+        "a turn a rounding short of -2 pi reads -1: "
+        "test_euler_class_fuchsian_is_minus_chi, test_rep_then_euler_round_trip",
     ),
     Mutant(
         "unit-distance-drops-sign", "src/adsvol/reps.py",

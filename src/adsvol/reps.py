@@ -2,8 +2,8 @@
 
 This module is deliberately floating-point: representations live in
 double precision, and the Euler class is read as an integer from the
-signs of the relator's prefix products, behind one gate on how closely
-the relator closes.
+polar angles of the relator's prefix products, behind one gate on how
+closely the relator closes.
 Exact arithmetic stays in `liealg` / `forms` / `invariants`.
 
 Conventions
@@ -16,20 +16,19 @@ Conventions
   nonzero integer: letter 2i-1 is a_i, letter 2i is b_i, negatives are
   inverses.  The relator is the one word evaluated here; a Word is only
   the reduced witness a Lipschitz scan reports.
-* P^1(R) is the set of lines through 0 in R^2, and x is the line at
-  angle 0, spanned by (1, 0).  Three lines spanned by u, v, w are
-  positively oriented when their angles increase counterclockwise mod
-  pi; their orientation is sign(det(u, v) det(v, w) det(u, w)), which no
-  change of sign of a spanning vector alters.  A matrix [[a, b], [c, d]]
-  sends x to the line through (a, c), and det((1, 0), (a, c)) = c.
-* euler_class sums the orientations of the ideal triangles that fan out
-  from x over the images of x under the relator's prefix products.
-  That fan evaluates the orientation cocycle, twice the bounded Euler
-  class, on the fundamental class (Ghys, "Groups acting on the circle",
-  2001, sec. 6; Burger-Iozzi-Wienhard, Ann. of Math. 2010), and the
-  Euler class is minus half the sum.  With these conventions the
-  regular-polygon Fuchsian representation of genus g has Euler class
-  -(2g - 2); e.g. fuchsian_regular_polygon(2) -> -2.
+* x is the line through 0 at angle 0, spanned by (1, 0); a matrix
+  [[a, b], [c, d]] sends it to the line through (a, c).
+* The polar angle theta(g) = atan2(c - b, a + d) of g = [[a, b], [c, d]]
+  is the angle of R in the polar decomposition g = R P, P symmetric
+  positive definite, defined mod pi in PSL(2, R); the adjugate's is
+  -theta(g) exactly.  The rotation cocycle theta(gh) - theta(g) -
+  theta(h) has a lift with values strictly inside (-pi/2, pi/2)
+  (Guichardet-Wigner).
+* euler_class sums that lift over the relator's prefix products and
+  divides the turn by pi (Milnor, Comment. Math. Helv. 1958; Ghys,
+  "Groups acting on the circle", 2001, sec. 6).  With these conventions
+  the regular-polygon Fuchsian representation of genus g has Euler
+  class -(2g - 2); e.g. fuchsian_regular_polygon(2) -> -2.
 * euler_class has one gate, on the relator: it refuses a representation
   whose relator product lies farther than RELATOR_TOLERANCE from the
   identity, and the integrality residual it returns only reports.
@@ -356,30 +355,32 @@ def fuchsian_regular_polygon(genus: int) -> Representation:
 
 
 # ---------------------------------------------------------------------------
-# The Euler class as a sum of orientation signs
+# The Euler class as a lifted rotation walk
 # ---------------------------------------------------------------------------
 
+def _wrap(x: float) -> float:
+    """x reduced mod pi into [-pi/2, pi/2)."""
+    return (x + math.pi / 2) % math.pi - math.pi / 2
+
+
 def euler_class(rep: Representation) -> tuple:
-    """(euler, residual): minus half the orientation sum of the ideal
-    triangles (x, M_k x, M_{k+1} x), with x the line at angle 0.
+    """(euler, residual): the turn of the relator's lift to the universal
+    cover, over pi.
 
-    M_k is the product of the relator's first k letters, C_k its
-    lower-left entry and c_k that of letter k; an inverse letter is the
-    adjugate of the stored matrix.  The triangle's orientation is
-    sign(C_k c_{k+1} C_{k+1}), so with R = M_{4g} the relator product
+    M_k is the product of the relator's first k letters, written out in
+    Python floats (an inverse letter is the adjugate of the stored
+    matrix), and g_k is its k-th letter.  The walk sums the lifted
+    rotation cocycle (see Conventions),
 
-        euler = -(1/2) sum_{k=1}^{4g-2} sign(C_k c_{k+1} C_{k+1}),
+        turn = sum_k wrap(theta(M_k) - theta(M_{k-1}) - theta(g_k)).
 
-    where C_{4g-1}, the lower-left entry of M_{4g-1} = R b_g, is read as
-    sign(R_11) c(b_g).  Rounding can only flip signs near 0, and those
-    flips cancel:
-    * when C_k crosses 0, M_k x passes through x, and the two terms that
-      hold C_k flip together;
-    * a_i and a_i^-1 carry the same c up to sign, as do b_i and b_i^-1,
-      so when one crosses 0 the two terms that hold them flip together;
-    * only C_{4g-1} depends on how closely the relator closes, and it
-      sits in a single term; the substitution reads it from b_g alone.
-    There are 4g - 2 terms and zeros come in pairs, so the sum is even.
+    The full lift also adds each theta(g_k), and these cancel: every
+    letter meets its inverse, and theta(g^-1) = -theta(g) exactly.  It
+    also adds the angle by which R = M_{4g} moves x, which the gate below
+    keeps far below pi/2, so rounding to a multiple of pi drops it.  wrap
+    can misread a step only where the cocycle's value lies within
+    rounding of +-pi/2, which needs steep, strongly hyperbolic factors; a
+    letter that fixes x, such as the identity, is no special case.
 
     The one gate is on the relator: when R lies farther than
     RELATOR_TOLERANCE (read at call time) from the identity in unit-norm
@@ -391,29 +392,22 @@ def euler_class(rep: Representation) -> tuple:
     reads 0.0.  The integer is conjugation invariant, changes sign under
     orientation reversal, and is bounded by 2g - 2 in magnitude
     (Milnor-Wood)."""
-    acc = _IDENTITY
-    signs = []  # (sign of C_k, sign of c_k)
-    # a product that overflows to inf or nan fails the gate below, so
-    # numpy's warnings about it would only repeat the refusal
-    with np.errstate(over="ignore", invalid="ignore"):
-        for row in _relator_rows(rep.genus):
-            g = rep.letter_table[row]
-            acc = acc.dot(g)
-            lower, c = acc.item(2), g.item(2)
-            signs.append(((lower > 0) - (lower < 0), (c > 0) - (c < 0)))
-    (a, b), (c, d) = acc.tolist()
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    angle = turn = 0.0
+    entries = rep.letter_table.reshape(-1, 4).tolist()
+    for row in _relator_rows(rep.genus):
+        p, q, r, s = entries[row]
+        a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+        previous, angle = angle, math.atan2(c - b, a + d)
+        turn += _wrap(angle - previous - math.atan2(r - q, p + s))
     closure = _unit_distance((a, b, c, d), (1.0, 0.0, 0.0, 1.0))
     if not closure <= RELATOR_TOLERANCE:
         raise IntegralityError(
             f"relator residual {closure:.3e} exceeds tolerance {RELATOR_TOLERANCE}, "
             "so no Euler class can be read"
         )
-    prefix, letters = zip(*signs)
-    # C_{4g-1} is the lower-left entry of R b_g, read with R = sign(R_11) I
-    prefix = prefix[:-2] + (((a > 0) - (a < 0)) * letters[-3],)
-    euler = -sum(p * m * q for p, m, q in zip(prefix, letters[1:-1], prefix[1:])) // 2
-    ratio = euler + math.atan(c / a) / math.pi
-    return euler, abs(ratio - euler)
+    euler = round(turn / math.pi)
+    return euler, abs(euler + math.atan(c / a) / math.pi - euler)
 
 
 # ---------------------------------------------------------------------------

@@ -338,9 +338,10 @@ def masked_reference_scan(rho_table, sigma_table, max_len, genus, block_words, f
 # relator products, which read every 2x2 entry as a numpy scalar: the
 # bitwise references for the library's plain-float forms.  ndarray.dot
 # does every product in both, and IEEE scalar ops round the same in
-# numpy and in Python, so the two must agree bit for bit.  The Euler
-# class here is read by the angle walk the sign sum replaced: an
-# independent reference for the integer and the gate.
+# numpy and in Python, so the two must agree bit for bit.  The float
+# and exact orientation sign sums read the Euler class by the fan of
+# ideal triangles that the library used before the rotation walk:
+# references for its integer.
 
 def numpy_scalar_moebius(mat) -> np.ndarray:
     """The determinant-1, nonnegative-trace representative of `mat`."""
@@ -430,42 +431,63 @@ def exact_orientation_sign_sum(rep) -> int:
     return sum(lower[k] * letters[k + 1] * lower[k + 1] for k in range(len(letters) - 2))
 
 
+# The relator walked in Python floats, as `reps.euler_class` walks it, so
+# that its products round the same on every BLAS kernel, and the angle
+# walk on them: the Euler class read with every term of the lift,
+# including the letters' own angles and the final read at the line of
+# angle 0, which the library leaves out.
+
 def _wrap(x: float) -> float:
     """x reduced mod pi into [-pi/2, pi/2)."""
     return (x + math.pi / 2) % math.pi - math.pi / 2
 
 
-def _numpy_scalar_polar_angle(m) -> float:
+def python_float_prefix_products(rep) -> list:
+    """(letter, prefix) for each letter of the relator, both row-major
+    4-tuples: each inverse letter the adjugate of the stored matrix, and
+    the products from the left written out in Python floats, which round
+    the same on every BLAS kernel.  The last prefix is the relator
+    product."""
+    out = []
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    for x in relator_word(rep.genus):
+        (p, q), (r, s) = rep.images[abs(x) - 1].mat.tolist()
+        if x < 0:
+            p, q, r, s = s, -q, -r, p
+        a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+        out.append(((p, q, r, s), (a, b, c, d)))
+    return out
+
+
+def _polar_angle(m) -> float:
     """Angle of the rotation R in the polar decomposition m = R P, P
-    symmetric positive definite."""
-    return math.atan2(m[1, 0] - m[0, 1], m[0, 0] + m[1, 1])
+    symmetric positive definite, for m row-major."""
+    a, b, c, d = m
+    return math.atan2(c - b, a + d)
 
 
-def numpy_scalar_euler_class(rep) -> tuple:
+def angle_walk_euler_class(rep) -> tuple:
     """(euler, residual) read by the angle walk, or IntegralityError when
     the relator does not close within reps.RELATOR_TOLERANCE.
 
     Every letter lifts to the universal cover through its polar angle,
     products lift through the Guichardet-Wigner rotation cocycle reduced
     into [-pi/2, pi/2), and the lifted relator is read at the line of
-    angle 0 and divided by pi."""
-    acc = np.eye(2)
+    angle 0 and divided by pi.  Products are `python_float_prefix_products`,
+    so the gate and the relator product are the library's."""
     angle = turn = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for letter in relator_word(rep.genus):
-            m = rep.images[abs(letter) - 1].mat
-            g = m if letter > 0 else _adjugate(m)
-            step = _numpy_scalar_polar_angle(g)
-            acc = acc.dot(g)
-            previous, angle = angle, _numpy_scalar_polar_angle(acc)
-            turn += step + _wrap(angle - previous - step)
-    closure = _unit_distance(acc.ravel().tolist(), (1.0, 0.0, 0.0, 1.0))
+    for letter, prefix in python_float_prefix_products(rep):
+        step = _polar_angle(letter)
+        previous, angle = angle, _polar_angle(prefix)
+        turn += step + _wrap(angle - previous - step)
+    closure = _unit_distance(prefix, (1.0, 0.0, 0.0, 1.0))
     if not closure <= reps.RELATOR_TOLERANCE:
         raise IntegralityError(
             f"relator residual {closure:.3e} exceeds tolerance {reps.RELATOR_TOLERANCE}, "
             "so no Euler class can be read"
         )
-    turn += _wrap(math.atan2(acc[1, 0], acc[0, 0]) - angle)
+    r11, _, r21, _ = prefix
+    turn += _wrap(math.atan2(r21, r11) - angle)
     ratio = turn / math.pi
     nearest = round(ratio)
     residual = abs(ratio - nearest)

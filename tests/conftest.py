@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from adsvol import reps
@@ -82,3 +83,36 @@ def make_pinched_rep(genus):
         rot = reps.Moebius.rotation(math.pi * i / genus + 0.1)
         images += [rot * stretch * rot.inverse(), reps.Moebius.identity()]
     return reps.Representation(reps.SurfaceGroup(genus), tuple(images))
+
+
+def make_odd_class_rep():
+    """Genus 2 with Euler class -1.  (a1, b1) is a one-holed torus with
+    tr [a1, b1] = -47.44 in SL(2, R); (a2, b2) conjugates
+    (diag(3, 1/3), P diag(3, 1/3) P^-1), P = [[cosh u, sinh u],
+    [sinh u, cosh u]], so that [a2, b2] = -[a1, b1]^-1.  The SL(2, R)
+    relator product is -I, so the handles' Euler classes add to an odd
+    number and the relator product sits near -I in floats."""
+    inv = np.linalg.inv
+    a1 = np.diag([4.0, 0.25])
+    r = reps.Moebius.rotation(math.pi / 4).mat
+    b1 = r @ a1 @ r.T
+    target = -inv(a1 @ b1 @ inv(a1) @ inv(b1))
+    # tr [A, B] = 2t^2 + x^2 - t^2 x - 2 (Fricke), t = tr A = tr B, and
+    # x = tr AB = p cosh(2u) + q: solve for x, then for u
+    t, p, q = 10.0 / 3.0, (3.0 - 1.0 / 3.0) ** 2 / 2, (10.0 / 3.0) ** 2 / 2
+    x = (t * t + math.sqrt(t**4 - 4 * (2 * t * t - 2 - np.trace(target)))) / 2
+    u = math.acosh((x - q) / p) / 2
+    a = np.diag([3.0, 1.0 / 3.0])
+    pm = np.array([[math.cosh(u), math.sinh(u)], [math.sinh(u), math.cosh(u)]])
+    b = pm @ a @ inv(pm)
+    # Q [a, b] Q^-1 = target, through eigenvectors sorted by eigenvalue
+    vectors = []
+    for m in (target, a @ b @ inv(a) @ inv(b)):
+        values, v = np.linalg.eig(m)
+        vectors.append(v[:, np.argsort(values)])
+    q_mat = vectors[0] @ inv(vectors[1])
+    if np.linalg.det(q_mat) < 0:
+        q_mat = vectors[0] @ np.diag([1.0, -1.0]) @ inv(vectors[1])
+    a2, b2 = q_mat @ a @ inv(q_mat), q_mat @ b @ inv(q_mat)
+    images = tuple(reps.Moebius(m) for m in (a1, b1, a2, b2))
+    return reps.Representation(reps.SurfaceGroup(2), images)

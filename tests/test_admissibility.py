@@ -552,9 +552,8 @@ def test_report_extremal_sigma_refutes_even_with_zero_bound(fuchsian_g2, monkeyp
 @pytest.mark.parametrize("genus, max_len", [(2, 1), (3, 1), (2, 2)])
 def test_report_refutes_at_a_bound_of_exactly_one(genus, max_len):
     """sigma = (rho(a1), I, ..., I) shares rho's own a1, so the word a1
-    scores exactly 1 and no word scores more; sigma's Euler class is not
-    extremal and cannot refute, so the verdict rests on `lower_bound >= 1`
-    alone."""
+    scores exactly 1 and no word scores more; sigma's Euler class is 0
+    and cannot refute, so the verdict rests on `lower_bound >= 1` alone."""
     rho = reps.fuchsian_regular_polygon(genus)
     sigma = Representation(
         rho.group, (rho.images[0],) + tuple(Moebius.identity() for _ in range(2 * genus - 1))
@@ -562,7 +561,7 @@ def test_report_refutes_at_a_bound_of_exactly_one(genus, max_len):
     report = admissibility_report(rho, sigma, max_len=max_len)
     assert report.lipschitz.lower_bound.hex() == "0x1.0000000000000p+0"
     assert report.lipschitz.witness == Word((1,))
-    assert abs(report.euler_sigma) != 2 * genus - 2
+    assert report.euler_sigma == 0
     assert report.verdict == VERDICT_REFUTED
 
 

@@ -12,7 +12,12 @@ import pytest
 
 from adsvol import admissibility, cli, forms, invariants, liealg, reps, verify
 from adsvol.reps import save_representation
-from conftest import make_noncommuting_bad_rep, make_steep_conjugate_rep, make_steep_g6_rep
+from conftest import (
+    make_noncommuting_bad_rep,
+    make_odd_class_rep,
+    make_steep_conjugate_rep,
+    make_steep_g6_rep,
+)
 
 
 def run_cli(capsys, *argv):
@@ -224,6 +229,19 @@ def test_euler_reads_a_steep_conjugate_whose_relator_closes(tmp_path, capsys):
     assert payload["residual"] <= reps.RELATOR_TOLERANCE
 
 
+def test_euler_reads_an_odd_class_with_a_trivial_handle(tmp_path, capsys):
+    """The odd class plus a third handle (I, I), saved and read back:
+    class -1 by additivity over handles, where the orientation sign fan
+    the rotation walk replaced read -2."""
+    odd, ident = make_odd_class_rep(), reps.Moebius.identity()
+    rep = reps.Representation(reps.SurfaceGroup(3), odd.images + (ident, ident))
+    path = tmp_path / "odd_trivial.json"
+    save_representation(rep, path)
+    code, out, _ = run_cli(capsys, "euler", "--rep", str(path))
+    assert code == 0
+    assert parse_single_json(out)["euler"] == -1
+
+
 def test_euler_overflowing_relator_exits_four(tmp_path, capsys):
     """Entries of 1e200 overflow the relator product to inf and nan; the
     gate refuses a distance that is not a number, and numpy's overflow
@@ -342,9 +360,8 @@ def test_lipschitz_overflowing_sigma_reads_a_finite_bound_below_the_overflow(
 
 def _unclosed_rep():
     """The g=2 polygon conjugated by diag(1e6, 1e-6) R(0.7): steep enough
-    that its relator misses by about 1.8e-2, though its orientation
-    signs still sum to the class -2; euler_class refuses it on the
-    relator."""
+    that its relator misses by about 1.8e-2, though its turn still
+    rounds to the class -2; euler_class refuses it on the relator."""
     conj = reps.Moebius([[1e6, 0.0], [0.0, 1e-6]]) * reps.Moebius.rotation(0.7)
     return reps.conjugate(reps.fuchsian_regular_polygon(2), conj)
 

@@ -1,13 +1,16 @@
-"""Surface-group representations and Euler classes read as sums of
-orientation signs."""
+"""Surface-group representations and Euler classes read by the lifted
+rotation walk."""
 
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,14 +34,14 @@ from adsvol.reps import (
     trivial_representation,
 )
 from _oracles import (
+    angle_walk_euler_class,
     evaluate,
     exact_orientation_sign_sum,
-    numpy_scalar_euler_class,
     numpy_scalar_moebius,
-    numpy_scalar_prefix_products,
     numpy_scalar_relator_residual,
     orientation_sign_sum,
     psl_distance,
+    python_float_prefix_products,
     reduce_word,
     su11_polygon_reference,
     translation_length,
@@ -46,6 +49,7 @@ from _oracles import (
 from conftest import (
     make_mild_g50_rep,
     make_noncommuting_bad_rep,
+    make_odd_class_rep,
     make_steep_conjugate_rep,
     make_steep_g6_rep,
 )
@@ -349,7 +353,7 @@ def test_cayley_guard_first_fails_at_2276():
         fuchsian_regular_polygon(2276)
 
 
-# ------------------------------------------------------ orientation signs
+# ----------------------------------------------- euler class: symmetries
 
 
 def _flipped(rep):
@@ -418,11 +422,11 @@ def _half_turn_reps():
         yield Representation(SurfaceGroup(len(images) // 2), images)
 
 
-def _sign_sum_residual(euler, rep):
+def _expected_residual(euler, rep):
     """The residual euler_class derives from its integer: the angle by
     which the relator product moves the line at angle 0, over pi, added
     to the integer and taken off again; the product is the oracle's."""
-    (r11, _), (r21, _) = numpy_scalar_prefix_products(rep)[1][-1].tolist()
+    r11, _, r21, _ = python_float_prefix_products(rep)[-1][1]
     return abs(euler + math.atan(r21 / r11) / math.pi - euler)
 
 
@@ -436,7 +440,7 @@ def test_euler_class_half_turn_generators_vanish():
         assert euler_class(rep) == (0, 0.0)
     e, residual = euler_class(mixed)
     assert e == 0
-    assert residual.hex() == _sign_sum_residual(0, mixed).hex()
+    assert residual.hex() == _expected_residual(0, mixed).hex()
     assert 0.0 < residual < 1e-16
 
 
@@ -503,8 +507,9 @@ def _eigenline_angles(m):
 def test_euler_class_generator_fixing_the_line_at_angle_zero(genus):
     """Conjugates of the polygon that put a generator's eigenline within
     1e-16 .. 1e-9 of the line at angle 0, where that letter's lower-left
-    entry is rounding noise: its sign flips cancel in pairs, and reading
-    C_{4g-1} from b_g keeps the last one out of the relator's noise."""
+    entry is rounding noise, which moved the orientation signs of the
+    fan the walk replaced; the walk, the angle walk and the exact sign
+    sum all read the polygon's class."""
     polygon = fuchsian_regular_polygon(genus)
     rng = random.Random(genus)
     for m in polygon.images:
@@ -514,7 +519,7 @@ def test_euler_class_generator_fixing_the_line_at_angle_zero(genus):
                 rep = conjugate(polygon, Moebius.rotation(offset - angle))
                 e, _ = euler_class(rep)
                 assert abs(e) <= 2 * genus - 2
-                assert e == -(2 * genus - 2) == numpy_scalar_euler_class(rep)[0]
+                assert e == -(2 * genus - 2) == angle_walk_euler_class(rep)[0]
                 assert e == -exact_orientation_sign_sum(rep) // 2
 
 
@@ -553,8 +558,8 @@ def _seeded_reps(genus, rng):
 
 def test_euler_class_equals_the_exact_sign_sum_on_seeded_reps():
     """On every readable seeded input of seeds 1-10 at g = 2 and 3, the
-    float sign sum gives the integer of the exact one on the same
-    stored floats.  300 of the 400 inputs are readable; the rest are
+    walk gives the integer of the exact sign sum on the same stored
+    floats.  300 of the 400 inputs are readable; the rest are
     refused by the relator gate."""
     readable = 0
     for seed in range(1, 11):
@@ -616,12 +621,13 @@ def test_float_entries_match_the_numpy_scalar_reference(monkeypatch):
 
 def test_euler_class_matches_the_angle_walk_and_the_exact_sign_sum():
     """On the cases above, every Euler class equals the angle walk's, or
-    both gates refuse with the same message; its sign sum is even, and
-    its residual is bitwise the one formed from the oracle's relator
-    product and within 1e-13 of the angle walk's."""
+    both gates refuse with the same message; it is minus half the float
+    and the exact sign sums, the float one even, and its residual is
+    bitwise the one formed from the oracle's relator product and within
+    1e-13 of the angle walk's."""
     for rep in _reference_cases(Moebius([[1e200, 0.0], [0.0, 1e200]])):
         got = _euler_outcome(euler_class, rep)
-        walked = _euler_outcome(numpy_scalar_euler_class, rep)
+        walked = _euler_outcome(angle_walk_euler_class, rep)
         if isinstance(walked, str):
             assert got == walked
             continue
@@ -630,7 +636,7 @@ def test_euler_class_matches_the_angle_walk_and_the_exact_sign_sum():
         assert total % 2 == 0
         assert e == -total // 2 == walked_e
         assert e == -exact_orientation_sign_sum(rep) // 2
-        assert residual.hex() == _sign_sum_residual(e, rep).hex()
+        assert residual.hex() == _expected_residual(e, rep).hex()
         assert abs(residual - walked_residual) <= 1e-13
 
 
@@ -754,71 +760,81 @@ def test_steep_conjugates_read_back_after_save(tmp_path):
     assert refused >= 1
 
 
-def _odd_class_rep():
-    """Genus 2 with Euler class -1.  (a1, b1) is a one-holed torus with
-    tr [a1, b1] = -47.44 in SL(2, R); (a2, b2) conjugates
-    (diag(3, 1/3), P diag(3, 1/3) P^-1), P = [[cosh u, sinh u],
-    [sinh u, cosh u]], so that [a2, b2] = -[a1, b1]^-1.  The SL(2, R)
-    relator product is -I, so the handles' Euler classes add to an odd
-    number and the relator product sits near -I in floats."""
-    inv = np.linalg.inv
-    a1 = np.diag([4.0, 0.25])
-    r = Moebius.rotation(math.pi / 4).mat
-    b1 = r @ a1 @ r.T
-    target = -inv(a1 @ b1 @ inv(a1) @ inv(b1))
-    # tr [A, B] = 2t^2 + x^2 - t^2 x - 2 (Fricke), t = tr A = tr B, and
-    # x = tr AB = p cosh(2u) + q: solve for x, then for u
-    t, p, q = 10.0 / 3.0, (3.0 - 1.0 / 3.0) ** 2 / 2, (10.0 / 3.0) ** 2 / 2
-    x = (t * t + math.sqrt(t**4 - 4 * (2 * t * t - 2 - np.trace(target)))) / 2
-    u = math.acosh((x - q) / p) / 2
-    a = np.diag([3.0, 1.0 / 3.0])
-    pm = np.array([[math.cosh(u), math.sinh(u)], [math.sinh(u), math.cosh(u)]])
-    b = pm @ a @ inv(pm)
-    # Q [a, b] Q^-1 = target, through eigenvectors sorted by eigenvalue
-    vectors = []
-    for m in (target, a @ b @ inv(a) @ inv(b)):
-        values, v = np.linalg.eig(m)
-        vectors.append(v[:, np.argsort(values)])
-    q_mat = vectors[0] @ inv(vectors[1])
-    if np.linalg.det(q_mat) < 0:
-        q_mat = vectors[0] @ np.diag([1.0, -1.0]) @ inv(vectors[1])
-    a2, b2 = q_mat @ a @ inv(q_mat), q_mat @ b @ inv(q_mat)
-    return Representation(SurfaceGroup(2), tuple(Moebius(m) for m in (a1, b1, a2, b2)))
-
-
 def test_euler_class_reads_an_odd_class():
     """The only input with an odd class: its relator product is near -I,
-    so the closure distance takes _unit_distance's x + y branch and
-    C_{4g-1} carries the factor sign(R_11) = -1."""
-    rep = _odd_class_rep()
+    so the closure distance takes _unit_distance's x + y branch and the
+    last prefix's polar angle is near pi."""
+    rep = make_odd_class_rep()
     e, residual = euler_class(rep)
-    assert (e, numpy_scalar_euler_class(rep)[0]) == (-1, -1)
+    assert (e, angle_walk_euler_class(rep)[0]) == (-1, -1)
     assert residual < 1e-12 and relator_residual(rep) < 1e-10
     assert euler_class(_flipped(rep))[0] == 1
     for k in range(12):
         assert euler_class(conjugate(rep, Moebius.rotation(0.1 + 0.25 * k)))[0] == -1
 
 
-def _trivial_handle_conjugates():
-    """The g=2 polygon plus a trivial third handle (I, I), conjugated by
-    the 50 rotations R(t), t = linspace(0.01, 3.1, 50): Euler class -2 by
-    additivity over handles.  Both letters of the trivial handle fix the
-    line at angle 0, so a C_k that rounds across 0 next to them flips
-    one orientation term alone."""
-    polygon = fuchsian_regular_polygon(2)
-    rep = Representation(
-        SurfaceGroup(3), polygon.images + (Moebius.identity(), Moebius.identity())
-    )
-    return [conjugate(rep, Moebius.rotation(t)) for t in np.linspace(0.01, 3.1, 50)]
+def _with_handle(rep, a, b):
+    return Representation(SurfaceGroup(rep.genus + 1), rep.images + (a, b))
+
+
+def _extra_handle_cases():
+    """(rep, euler): a handle whose letters fix the line at angle 0 and
+    commute, added after a g=2 representation, so the class is the g=2
+    one by additivity over handles.  Next to such letters a C_k that
+    rounds across 0 flipped one orientation sign alone, and the fan
+    misread many of these (ROADMAP item 18):
+    * the polygon plus (I, I), conjugated by the 50 rotations R(t),
+      t = linspace(0.01, 3.1, 50): -2;
+    * the odd class plus (I, I), and its 50 rotation conjugates: -1;
+    * the odd class plus (diag(2, 1/2), diag(2, 1/2)): -1."""
+    rotations = [Moebius.rotation(t) for t in np.linspace(0.01, 3.1, 50)]
+    ident, stretch = Moebius.identity(), Moebius([[2.0, 0.0], [0.0, 0.5]])
+    polygon, odd = fuchsian_regular_polygon(2), make_odd_class_rep()
+    polygon_trivial = _with_handle(polygon, ident, ident)
+    odd_trivial = _with_handle(odd, ident, ident)
+    cases = [(conjugate(polygon_trivial, r), -2) for r in rotations]
+    cases.append((odd_trivial, -1))
+    cases += [(conjugate(odd_trivial, r), -1) for r in rotations]
+    cases.append((_with_handle(odd, stretch, stretch), -1))
+    return cases
 
 
 def test_angle_walk_reads_a_trivial_handle_on_every_rotation():
-    assert [numpy_scalar_euler_class(rep)[0] for rep in _trivial_handle_conjugates()] == [-2] * 50
+    cases = _extra_handle_cases()
+    assert [angle_walk_euler_class(rep)[0] for rep, _ in cases] == [e for _, e in cases]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the orientation sign sum misreads 22 of these 50 (ROADMAP item 18)",
-)
 def test_euler_class_reads_a_trivial_handle_on_every_rotation():
-    assert [euler_class(rep)[0] for rep in _trivial_handle_conjugates()] == [-2] * 50
+    cases = _extra_handle_cases()
+    assert [euler_class(rep)[0] for rep, _ in cases] == [e for _, e in cases]
+
+
+def test_euler_class_reads_the_same_bits_under_another_blas_kernel():
+    """A child process forced onto OpenBLAS's Sandybridge kernel, which
+    rounds a 2x2 ndarray.dot without fused multiply-adds, loads the
+    same files and reads every (euler, residual) bit for bit as this
+    process does: the polygons g = 2..10, the odd class and the
+    extra-handle cases."""
+    cases = [fuchsian_regular_polygon(g) for g in range(2, 11)] + [make_odd_class_rep()]
+    cases += [rep for rep, _ in _extra_handle_cases()]
+    files = json.dumps([representation_to_json(rep) for rep in cases])
+    here = [
+        [e, residual.hex()]
+        for e, residual in map(euler_class, map(representation_from_json, json.loads(files)))
+    ]
+    src = str(Path(reps.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, OPENBLAS_CORETYPE="Sandybridge",
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    code = (
+        "import json, sys\n"
+        "from adsvol.reps import euler_class, representation_from_json\n"
+        "readings = (euler_class(representation_from_json(d)) for d in json.load(sys.stdin))\n"
+        "print(json.dumps([[e, r.hex()] for e, r in readings]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], input=files, env=env, capture_output=True,
+        text=True, check=False, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == here

@@ -90,7 +90,7 @@ def test_every_mutant_applies_once_and_names_what_kills_it():
         assert mutants.stale(m) is None, m.name
         assert m.old != m.new and m.note
     assert {
-        "euler-drops-sign-r11", "unit-distance-drops-sign", "det-tolerance-x10",
+        "wrap-range", "round-truncates", "unit-distance-drops-sign", "det-tolerance-x10",
         "word-cap-accepts-zero", "verdict-strict", "ratios-maximum",
         "unit-tangent-skips-minus-two", "chasles-drops-inverse-law",
         "milnor-wood-below-bound",
