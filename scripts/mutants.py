@@ -121,6 +121,19 @@ MUTANTS = (
         "test_exact_ties_go_to_the_shortlex_least_word",
     ),
     Mutant(
+        "products-wrong-letter-entry", "src/adsvol/admissibility.py",
+        "e += cols[2 + j] * prods[2 * i + 1]", "e += cols[3 - j] * prods[2 * i + 1]",
+        "words of length 2 and up are scored wrong: test_scan_matches_plain_python_reference, "
+        "test_grid_scan_matches_the_masked_reference, test_scan_reproduces_the_golden_roundings",
+    ),
+    Mutant(
+        "mask-allows-the-inverse", "src/adsvol/admissibility.py",
+        "allowed = alphabet[:, None] != (letters[part, -1] ^ 1)",
+        "allowed = alphabet[:, None] != letters[part, -1]",
+        "the scan extends a word by its last letter's inverse, never by that letter: "
+        "test_scan_matches_plain_python_reference, test_grid_scan_matches_the_masked_reference",
+    ),
+    Mutant(
         "relator-tolerance-x10", "src/adsvol/reps.py",
         "RELATOR_TOLERANCE = 1e-4", "RELATOR_TOLERANCE = 1e-3",
         "rep --genus 55 exits 0: test_rep_relator_gate_refuses_genus_55",

@@ -14,13 +14,13 @@ maximal |Euler class| for sigma refutes independently: sigma would sit
 in a Fuchsian component rather than being strictly dominated.
 
 A word is scored by its trace alone, so the scan is one step, taken
-from the empty word over bounded blocks walked depth-first: it forms a
-block's extensions by every letter as one letter-major (4g x words)
-grid, scores the grid from the diagonal entries with the inverse-letter
-cells masked out, and only for words it will extend again multiplies
-out the rest and gathers the reduced ones, once per level.  Memory stays
-O(words per block x 4g x cutoff), so the word cap bounds time only, and
-ties go to the shortlex-least word.
+from the empty word over bounded blocks walked depth-first: it scores a
+block's extensions by every letter from their traces alone, as one
+letter-major (4g x words) grid with the inverse-letter cells masked
+out, and multiplies out only the reduced extensions it goes on to
+extend, once per level.  Memory stays O(words per block x 4g x cutoff),
+so the word cap bounds time only, and ties go to the shortlex-least
+word.
 """
 
 from __future__ import annotations
@@ -116,72 +116,73 @@ def _ratios(rho_tr, sigma_tr, mask) -> np.ndarray:
     return ratio
 
 
-def _extend(prods, table) -> np.ndarray:
-    """(4, 4g, m) grid: entry k = 2i + j, row-major, of each of the m
-    products (stored entry-major as a (4, m) array) times each of the 4g
-    generators, written out by hand as in a 2x2 product."""
-    grid = np.empty((4, len(table), prods.shape[1]))
-    for k, e in enumerate(grid):
-        i, j = divmod(k, 2)
-        np.multiply(table[:, j, None], prods[2 * i], out=e)
-        e += table[:, 2 + j, None] * prods[2 * i + 1]
-    return grid
-
-
-def _traces(prods, table) -> np.ndarray:
-    """(4g, m) grid of the traces of the products `_extend` forms, with
-    its entries 0 and 3 added as it rounds them, but no other entry."""
-    tr = table[:, 0, None] * prods[0]
-    tr += table[:, 2, None] * prods[1]
-    tail = table[:, 1, None] * prods[2]
-    tail += table[:, 3, None] * prods[3]
+def _traces(prods, cols) -> np.ndarray:
+    """(4g, m) grid of the traces of the m products `prods` times each of
+    the 4g generators `cols`: entries 0 and 3 as `_products` rounds them."""
+    tr = cols[0, :, None] * prods[0]
+    tr += cols[2, :, None] * prods[1]
+    tail = cols[1, :, None] * prods[2]
+    tail += cols[3, :, None] * prods[3]
     tr += tail
     return tr
+
+
+def _products(prods, cols) -> np.ndarray:
+    """Entry k = 2i + j, row-major, of each of n products times its next
+    letter, written out by hand as in a 2x2 product; all three entry-major
+    (4, n) arrays."""
+    out = np.empty_like(prods)
+    for k, e in enumerate(out):
+        i, j = divmod(k, 2)
+        np.multiply(cols[j], prods[2 * i], out=e)
+        e += cols[2 + j] * prods[2 * i + 1]
+    return out
 
 
 def _block_words(letters: int) -> int:
     """Words per block of the scan over `letters` = 4g letters (see _scan).
 
-    numpy forms a 2-D broadcast such as _extend's `table[:, j, None] *
-    prods[k]` about 4x faster per cell once its rows, which hold the
-    block's words, exceed np.getbufsize() / 3 elements: below that it
-    copies them through its buffer.  So while such a block's grid stays
-    within _FAST_BLOCK_CELLS (through genus 11 at numpy's default buffer
-    of 8,192), a block holds the fewest words above the threshold, 2,731
-    at that buffer.  Past it the grid outgrows the gain, the cost per
-    cell no longer falls with the block, and a block holds
-    _BLOCK_CELLS cells, which measured fastest from genus 8 to 50."""
+    numpy forms _traces' 2-D broadcasts `cols[k, :, None] * prods[k]`
+    about 4x faster per cell once their rows, which hold the block's
+    words, exceed np.getbufsize() / 3 elements: below that it copies
+    them through its buffer.  So while such a block's grid stays within
+    _FAST_BLOCK_CELLS (through genus 11 at numpy's default buffer of
+    8,192), a block holds the fewest words above the threshold, 2,731 at
+    that buffer.  Past it the grid outgrows the gain, the cost per cell
+    no longer falls with the block, and a block holds _BLOCK_CELLS
+    cells, which measured fastest from genus 8 to 50."""
     fast = np.getbufsize() // 3 + 1
     if letters * fast <= _FAST_BLOCK_CELLS:
         return fast
     return max(1, _BLOCK_CELLS // letters)
 
 
-def _scan(rho_table, sigma_table, max_len, genus):
+def _scan(rho_cols, sigma_cols, max_len, genus):
     """Best (ratio, witness) over all reduced words of length 1..max_len.
 
-    One step does the work.  Visiting a block of m words, with their rho
-    and sigma products stored entry-major as (4, m) arrays, it forms
+    One step does the work, on entry-major (4, 4g) copies of the
+    generators.  Visiting a block of m words, with their rho and sigma
+    products stored entry-major as (4, m) arrays, it forms the traces of
     their extensions by every letter as letter-major (4g, m) grids, so
     each numpy call runs over the block's words in one contiguous inner
     loop, and scores them; a cell outside `mask` (the inverse of a
     word's last letter) reads -1.  The scores are written out as the
     row-major (m, 4g) table, so its argmax is the first best reduced
-    word, and cell i is (row, letter) = divmod(i, 4g).  A ratio needs
-    only traces, so on the last level the step forms the traces alone,
-    and above it all four entries, gathered by flat index in the same
-    shortlex order, once per level.  The root block is the empty word:
-    the identity, with every letter allowed.  The extensions are cut
-    into blocks of _block_words(4g) words, each visited to full depth
-    before the next, so live memory is O(words per block x 4g x
-    max_len).  Words of equal length are met in shortlex order, so a
-    later maximum replaces the best only when it is larger, or equal and
-    shorter.  Products accumulate left to right in plain float
-    arithmetic, so neither the blocking nor the layout changes a single
-    rounding.  A product that leaves the float range is scored 0 or not
-    at all, which still bounds from below, unless it makes a block's
-    best ratio inf or nan (inf / inf): no bound can be read then, so the
-    scan raises InputError, and numpy's float warnings stay quiet."""
+    word, and cell i is (row, letter) = divmod(i, 4g).  Above the last
+    level the step gathers the reduced cells' words and letters in that
+    order and multiplies out those products alone.  The root block is
+    the empty word: the identity, with every letter allowed.  The
+    extensions are cut into blocks of _block_words(4g) words, each
+    visited to full depth before the next, so live memory is O(words per
+    block x 4g x max_len).  Words of equal length are met in shortlex
+    order, so a later maximum replaces the best only when it is larger,
+    or equal and shorter.  Products accumulate left to right in plain
+    float arithmetic, so neither the blocking nor the layout changes a
+    single rounding.  A product that leaves the float range is scored 0
+    or not at all, which still bounds from below, unless it makes a
+    block's best ratio inf or nan (inf / inf): no bound can be read
+    then, so the scan raises InputError, and numpy's float warnings stay
+    quiet."""
     order = letter_order(genus)
     n = len(order)
     alphabet = np.arange(n, dtype=np.min_scalar_type(n))
@@ -190,13 +191,8 @@ def _scan(rho_table, sigma_table, max_len, genus):
 
     def visit(rho_m, sigma_m, letters, mask):
         nonlocal best_ratio, best_witness
-        m, length = letters.shape[0], letters.shape[1] + 1
-        if length < max_len:
-            rho_grid = _extend(rho_m, rho_table)
-            sigma_grid = _extend(sigma_m, sigma_table)
-            rho_tr, sigma_tr = rho_grid[0] + rho_grid[3], sigma_grid[0] + sigma_grid[3]
-        else:
-            rho_tr, sigma_tr = _traces(rho_m, rho_table), _traces(sigma_m, sigma_table)
+        length = letters.shape[1] + 1
+        rho_tr, sigma_tr = _traces(rho_m, rho_cols), _traces(sigma_m, sigma_cols)
         ratio = _ratios(rho_tr, sigma_tr, mask).T
         i = int(np.argmax(ratio))
         r = float(ratio.flat[i])
@@ -217,10 +213,8 @@ def _scan(rho_table, sigma_table, max_len, genus):
             return
         del rho_tr, sigma_tr, ratio
         row, last = divmod(np.flatnonzero(mask.T), n)
-        cells = last * m + row
-        rho_m = np.take(rho_grid.reshape(4, -1), cells, axis=1)
-        sigma_m = np.take(sigma_grid.reshape(4, -1), cells, axis=1)
-        del rho_grid, sigma_grid
+        rho_m = _products(np.take(rho_m, row, axis=1), np.take(rho_cols, last, axis=1))
+        sigma_m = _products(np.take(sigma_m, row, axis=1), np.take(sigma_cols, last, axis=1))
         letters = np.column_stack((letters[row], last.astype(alphabet.dtype)))
         for lo in range(0, len(letters), step):
             part = slice(lo, lo + step)
@@ -254,8 +248,8 @@ def lipschitz_lower_bound(
     if max_len < 1:
         raise InputError("max_len must be an integer >= 1")
     check_word_budget(rho.genus, max_len)
-    tables = (rep.letter_table.reshape(-1, 4) for rep in (rho, sigma))
-    ratio, witness = _scan(*tables, max_len, rho.genus)
+    cols = (rep.letter_table.reshape(-1, 4).T.copy() for rep in (rho, sigma))
+    ratio, witness = _scan(*cols, max_len, rho.genus)
     return LipschitzEstimate(
         lower_bound=ratio,
         witness=witness,

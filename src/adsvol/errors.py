@@ -26,7 +26,7 @@ def _require_genus(name: str, value) -> None:
 class IntegralityError(RuntimeError):
     """The relator of a representation does not close within
     reps.RELATOR_TOLERANCE, so it is not +-I up to noise and no Euler
-    class can be read off its orientation signs."""
+    class can be read off its lifted rotation walk."""
 
 
 class ConventionWarning(UserWarning):

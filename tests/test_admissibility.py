@@ -220,9 +220,8 @@ def test_block_boundaries_do_not_change_the_result(
 
 @pytest.mark.parametrize("genus", [2, 3, 4, 5])
 def test_default_blocks_clear_numpys_buffered_broadcast_threshold(genus):
-    # numpy runs _extend's and _traces' broadcasts about 4x slower per
-    # cell while a row, a block's words, holds np.getbufsize() / 3
-    # elements or fewer
+    # numpy runs _traces' broadcasts about 4x slower per cell while a
+    # row, a block's words, holds np.getbufsize() / 3 elements or fewer
     assert admissibility._block_words(4 * genus) > np.getbufsize() // 3
 
 

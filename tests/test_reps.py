@@ -760,6 +760,33 @@ def test_steep_conjugates_read_back_after_save(tmp_path):
     assert refused >= 1
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 6: Moebius products renormalise by sqrt(ad - bc), "
+    "which cancels to 0 or below on steep entries",
+)
+def test_conjugate_accepts_a_steep_conjugator():
+    """The polygons g=2..40 conjugated by R(a) diag(k, 1/k) R(b), 8 draws
+    per genus, a and b uniform in [0, pi] and k = 10^uniform(0, 3.5):
+    each conjugator is a valid PSL(2, R) element, so each conjugate
+    should build.  Today 14 of the 312 raise InputError ("requires
+    positive determinant"), the first at g=10 with k = 3148."""
+    rng = random.Random(0)
+    refused = []
+    for genus in range(2, 41):
+        polygon = fuchsian_regular_polygon(genus)
+        for _ in range(8):
+            a, b = rng.uniform(0.0, math.pi), rng.uniform(0.0, math.pi)
+            k = 10 ** rng.uniform(0.0, 3.5)
+            m = Moebius.rotation(a) * Moebius([[k, 0.0], [0.0, 1.0 / k]]) * Moebius.rotation(b)
+            try:
+                conjugate(polygon, m)
+            except InputError:
+                refused.append((genus, round(k)))
+    assert refused == []
+
+
 def test_euler_class_reads_an_odd_class():
     """The only input with an odd class: its relator product is near -I,
     so the closure distance takes _unit_distance's x + y branch and the
